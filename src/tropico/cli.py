@@ -15,8 +15,6 @@ import os
 import random
 import sys
 import zlib
-from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 from .curves import (
     DegenerateSupport,
@@ -34,11 +32,13 @@ from .lattice import (
     grid_rectangle,
     standard_triangle,
 )
-from .paths import InvalidGenus, Side, enumerate_paths, mu_side, path_to_json
-from .real import SignedPath, mu_real_side, nu_real_side
+from .paths import InvalidGenus, _path_sides, _steps_for_genus, count, path_to_json
+from .real import _mu_real_step, _nu_step, _step_classes, welschinger_count
 
 SIGN_TOKENS = {"++": (0, 0), "+-": (0, 1), "-+": (1, 0), "--": (1, 1)}
 TABLE_CEILING = {"projective": 4, "bidegree": 3}
+_JOBS_HELP = ("worker count (or TROPICO_JOBS), a positive integer; accepted for "
+              "compatibility and selects nothing: counting runs in one process")
 
 
 class InputError(ValueError):
@@ -98,7 +98,9 @@ def _parse_signs(text: str, n: int) -> list[tuple[int, int]]:
         raise InputError(f"bad sign token {exc.args[0]!r}, expected ++ +- -+ --") from exc
 
 
-def _jobs(args) -> int:
+def _check_jobs(args) -> None:
+    """Validate --jobs / TROPICO_JOBS.  Kept for compatibility: counting runs
+    in one process, so the value selects nothing."""
     value = args.jobs
     if value is None:
         value = os.environ.get("TROPICO_JOBS", "1")
@@ -108,56 +110,6 @@ def _jobs(args) -> int:
         raise InputError(f"bad worker count {value!r}") from exc
     if jobs < 1:
         raise InputError("worker count must be at least 1")
-    return jobs
-
-
-def _steps_needed(P: LatticePolygon, g: int) -> int:
-    s, _ = P.counts()
-    n = s + g - 1
-    if n < 1:
-        raise InvalidGenus(f"genus {g} needs at least one path step, got n={n}")
-    return n
-
-
-def _worker(payload):
-    verts, primary, tiebreak, path, mode, choices = payload
-    P = LatticePolygon(verts)
-    order = LinearOrder(primary, tiebreak)
-    if mode == "count":
-        return (mu_side(P, order, path, Side.PLUS), mu_side(P, order, path, Side.MINUS))
-    if mode == "welschinger":
-        return (
-            nu_real_side(P, order, path, Side.PLUS),
-            nu_real_side(P, order, path, Side.MINUS),
-        )
-    signed = SignedPath.from_choices(path, choices)
-    return (
-        mu_real_side(P, order, signed, Side.PLUS),
-        mu_real_side(P, order, signed, Side.MINUS),
-    )
-
-
-def _side_pairs(P, order, n, mode, choices=None, jobs=1):
-    """(path, plus, minus) for every increasing path, in enumeration order."""
-    paths = list(enumerate_paths(P, order, n))
-    if jobs <= 1 or len(paths) < 2:
-        pairs = [
-            _worker((P.vertices, order.primary, order.tiebreak, p, mode, choices))
-            for p in paths
-        ]
-    else:
-        payloads = [
-            (P.vertices, order.primary, order.tiebreak, p, mode, choices)
-            for p in paths
-        ]
-        chunk = max(1, len(payloads) // (4 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            pairs = list(pool.map(_worker, payloads, chunksize=chunk))
-    return list(zip(paths, pairs))
-
-
-def _total(rows) -> int:
-    return sum(plus * minus for _, (plus, minus) in rows)
 
 
 def _second_order(P: LatticePolygon, tag: str) -> LinearOrder:
@@ -174,18 +126,38 @@ def _second_order(P: LatticePolygon, tag: str) -> LinearOrder:
             return cand
 
 
-def _smoke_check(P, g, n, mode, reported: int) -> bool:
+_LIBRARY_TOTALS = {"count": count, "welschinger": welschinger_count}
+
+
+def _smoke_check(P, g, mode, reported: int) -> bool:
     """Recompute the total under an independently sampled order."""
     order2 = _second_order(P, f"{mode}|{g}")
-    rows = _side_pairs(P, order2, n, mode)
-    return _total(rows) == reported
+    return _LIBRARY_TOTALS[mode](P, g, order2) == reported
+
+
+def _per_path_json(rows) -> list[dict]:
+    return [
+        {
+            "points": [list(p) for p in path],
+            "plus": str(plus),
+            "minus": str(minus),
+            "product": str(plus * minus),
+        }
+        for path, plus, minus in rows
+    ]
+
+
+def _print_per_path_tsv(rows) -> None:
+    print("plus\tminus\tproduct\tpoints")
+    for path, plus, minus in rows:
+        print(f"{plus}\t{minus}\t{plus * minus}\t{path_to_json(path)}")
 
 
 def _emit_count_result(args, P, order, rows, label: str, extra=None):
-    total = _total(rows)
-    contributing = [
-        (path, plus, minus) for path, (plus, minus) in rows if plus * minus != 0
-    ]
+    """Print the total of (path, plus, minus) rows, with one row per
+    contributing path under --per-path."""
+    total = sum(plus * minus for _, plus, minus in rows)
+    contributing = [row for row in rows if row[1] * row[2] != 0]
     if args.format == "json":
         doc = {
             "polygon": [list(v) for v in P.vertices],
@@ -196,21 +168,11 @@ def _emit_count_result(args, P, order, rows, label: str, extra=None):
         if extra:
             doc.update(extra)
         if getattr(args, "per_path", False):
-            doc["per_path"] = [
-                {
-                    "points": [list(p) for p in path],
-                    "plus": str(plus),
-                    "minus": str(minus),
-                    "product": str(plus * minus),
-                }
-                for path, plus, minus in contributing
-            ]
+            doc["per_path"] = _per_path_json(contributing)
         print(json.dumps(doc))
     else:
         if getattr(args, "per_path", False):
-            print("plus\tminus\tproduct\tpoints")
-            for path, plus, minus in contributing:
-                print(f"{plus}\t{minus}\t{plus * minus}\t{path_to_json(path)}")
+            _print_per_path_tsv(contributing)
         print(total)
     return total
 
@@ -218,10 +180,11 @@ def _emit_count_result(args, P, order, rows, label: str, extra=None):
 def cmd_count(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
-    n = _steps_needed(P, args.genus)
-    rows = _side_pairs(P, order, n, "count", jobs=_jobs(args))
+    n = _steps_for_genus(P, args.genus)
+    _check_jobs(args)
+    rows = list(_path_sides(P, order, n))
     total = _emit_count_result(args, P, order, rows, "count")
-    if not _smoke_check(P, args.genus, n, "count", total):
+    if not _smoke_check(P, args.genus, "count", total):
         print("cross-check failed: count changed under a resampled order", file=sys.stderr)
         return 1
     return 0
@@ -230,12 +193,13 @@ def cmd_count(args) -> int:
 def cmd_welschinger(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
-    n = _steps_needed(P, args.genus)
-    rows = _side_pairs(P, order, n, "welschinger", jobs=_jobs(args))
+    n = _steps_for_genus(P, args.genus)
+    _check_jobs(args)
+    rows = list(_path_sides(P, order, n, _nu_step))
     total = _emit_count_result(args, P, order, rows, "welschinger")
     # the signed count is order-independent only in genus 0, so that is the
     # only case the resampled-order cross-check may assert
-    if args.genus == 0 and not _smoke_check(P, 0, n, "welschinger", total):
+    if args.genus == 0 and not _smoke_check(P, 0, "welschinger", total):
         print(
             "cross-check failed: welschinger count changed under a resampled order",
             file=sys.stderr,
@@ -247,9 +211,10 @@ def cmd_welschinger(args) -> int:
 def cmd_real_count(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
-    n = _steps_needed(P, args.genus)
+    n = _steps_for_genus(P, args.genus)
     choices = _parse_signs(args.signs, n)
-    rows = _side_pairs(P, order, n, "real", choices=choices, jobs=_jobs(args))
+    _check_jobs(args)
+    rows = list(_path_sides(P, order, n, _mu_real_step, _step_classes(choices)))
     _emit_count_result(
         args, P, order, rows, "real_count", extra={"signs": args.signs}
     )
@@ -260,10 +225,12 @@ def cmd_real_count(args) -> int:
 def cmd_paths(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
-    n = _steps_needed(P, args.genus)
-    rows = _side_pairs(P, order, n, "count", jobs=_jobs(args))
-    total = _total(rows)
-    contributing = sum(1 for _, (p, m) in rows if p * m != 0)
+    n = _steps_for_genus(P, args.genus)
+    _check_jobs(args)
+    # a listing shows the minus side of every path, not only where plus != 0
+    rows = list(_path_sides(P, order, n, lazy=not args.list))
+    total = sum(plus * minus for _, plus, minus in rows)
+    contributing = sum(1 for _, plus, minus in rows if plus * minus != 0)
     if args.format == "json":
         doc = {
             "polygon": [list(v) for v in P.vertices],
@@ -273,21 +240,11 @@ def cmd_paths(args) -> int:
             "total": str(total),
         }
         if args.list:
-            doc["paths"] = [
-                {
-                    "points": [list(p) for p in path],
-                    "plus": str(plus),
-                    "minus": str(minus),
-                    "product": str(plus * minus),
-                }
-                for path, (plus, minus) in rows
-            ]
+            doc["paths"] = _per_path_json(rows)
         print(json.dumps(doc))
     else:
         if args.list:
-            print("plus\tminus\tproduct\tpoints")
-            for path, (plus, minus) in rows:
-                print(f"{plus}\t{minus}\t{plus * minus}\t{path_to_json(path)}")
+            _print_per_path_tsv(rows)
         print("n_paths\tcontributing\ttotal")
         print(f"{len(rows)}\t{contributing}\t{total}")
     return 0
@@ -392,7 +349,7 @@ def cmd_table(args) -> int:
             f"dmax {args.dmax} out of range 1..{ceiling} for family {family!r}"
         )
     order = LinearOrder.default()
-    jobs = _jobs(args)
+    _check_jobs(args)
     columns = list(range(1, args.dmax + 1))
     g_max = 0
     for d in columns:
@@ -402,10 +359,8 @@ def cmd_table(args) -> int:
     for d in columns:
         P = _table_polygon(family, d)
         for g in range(-1, g_max + 1):
-            n = _steps_needed(P, g)
-            rows = _side_pairs(P, order, n, "count", jobs=jobs)
-            total = _total(rows)
-            if not _smoke_check(P, g, n, "count", total):
+            total = count(P, g, order)
+            if not _smoke_check(P, g, "count", total):
                 print(
                     f"cross-check failed for d={d}, g={g} under a resampled order",
                     file=sys.stderr,
@@ -444,8 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", default=None, metavar="a,b/c,d",
                        help="injective order, default 1,0/0,-1")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--jobs", default=None,
-                       help="worker count (or TROPICO_JOBS), default 1")
+        p.add_argument("--jobs", default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("count", help="number of curves of a genus through generic points")
     common(p)
@@ -481,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("projective", "bidegree"), default="projective")
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--jobs", default=None)
+    p.add_argument("--jobs", default=None, help=_JOBS_HELP)
     p.set_defaults(func=cmd_table)
 
     return ap

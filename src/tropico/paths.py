@@ -4,8 +4,16 @@ A path is a strictly increasing (under a `LinearOrder`) sequence of lattice
 points of a convex polygon, from the minimal to the maximal point.  Each path
 carries two multiplicities, one per side of the polygon boundary, computed by
 a corner-smoothing recursion; their product weights the path's contribution
-to the curve count.  The same recursion, run with bookkeeping, decodes a path
-into the polygon subdivisions dual to the curves it encodes.
+to the curve count.
+
+The recursion lives in `_Context`: `_moves` holds its base cases, the choice
+of the first convex vertex and its two moves (cut off the corner triangle, or
+mirror the corner across a parallelogram), and `side_value` runs it memoised
+under a triangle step rule.  The parallelogram move always weighs 1.  The
+rule here, `_mu_step`, weighs a triangle by its doubled area; `real` adds the
+signed and Welschinger rules.  `decode` walks the same moves and gathers the
+cells, giving the polygon subdivisions dual to the curves a path encodes.
+Every count is a sum over one loop, `_path_sides`.
 """
 
 from __future__ import annotations
@@ -13,8 +21,9 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .lattice import (
     LatticePoint,
@@ -41,6 +50,10 @@ class MalformedSubdivision(ValueError):
 class Side(enum.Enum):
     PLUS = "+"
     MINUS = "-"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # valid, and it skips Enum's Python-level __hash__ on every memo lookup.
+    __hash__ = object.__hash__
 
     def __invert__(self) -> "Side":
         return Side.MINUS if self is Side.PLUS else Side.PLUS
@@ -156,7 +169,8 @@ class DecodedCurve:
 
 
 class _Context:
-    """Per-(polygon, order) cache: boundary chains plus recursion memos."""
+    """Per-(polygon, order) cache: boundary chains plus one recursion memo
+    per step rule."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         self.polygon = P
@@ -166,64 +180,91 @@ class _Context:
         self.alpha = {Side.PLUS: plus, Side.MINUS: minus}
         self.steps = {Side.PLUS: len(plus) - 1, Side.MINUS: len(minus) - 1}
         self.point_set = frozenset(P.lattice_points())
-        self._mu: dict[tuple, int] = {}
-        self._decode: dict[tuple, tuple] = {}
+        self._memos: defaultdict[Callable, dict] = defaultdict(dict)
 
     def sorted_points(self) -> list[LatticePoint]:
         return sorted(self.point_set, key=self.order.key)
 
-    def mu_side(self, path: LatticePath, side: Side) -> int:
-        key = (path, side)
-        got = self._mu.get(key)
-        if got is not None:
-            return got
+    def _moves(self, path: LatticePath, side: Side) -> int | tuple[int, LatticePath, LatticePath | None]:
+        """One corner-smoothing step below `path` on the given side.
+
+        Returns a leaf value, 0 (fewer steps than the side's boundary chain,
+        or no convex corner) or 1 (the boundary chain itself), or else
+        (k, dropped, mirrored) for the first convex vertex k: the path with
+        that corner cut off, and the path with the corner mirrored across
+        the parallelogram on its two steps (None when the mirror point
+        leaves the polygon).
+        """
         if len(path) - 1 < self.steps[side]:
-            val = 0
-        elif path == self.alpha[side]:
-            val = 1
+            return 0
+        if path == self.alpha[side]:
+            return 1
+        k = first_convex_vertex(path, side)
+        if k is None:
+            return 0
+        mirror = add(sub(path[k - 1], path[k]), path[k + 1])
+        mirrored = path[:k] + (mirror,) + path[k + 1 :] if mirror in self.point_set else None
+        return k, path[:k] + path[k + 1 :], mirrored
+
+    def side_value(self, rule: Callable, path: LatticePath, signs: tuple | None, side: Side) -> int:
+        """One-sided multiplicity of `path` under a triangle step rule.
+
+        `rule(u, v, signs, k)` gives the (weight, signs after the cut)
+        alternatives for cutting off the triangle on the corner steps u, v;
+        `signs` holds one sign class per step, or None for the sign-free
+        rules.  The parallelogram move weighs 1 and swaps the classes of the
+        two corner steps.
+        """
+        memo = self._memos[rule]
+        key = (path, signs, side)
+        val = memo.get(key)
+        if val is not None:
+            return val
+        step = self._moves(path, side)
+        if isinstance(step, int):
+            val = step
         else:
-            k = first_convex_vertex(path, side)
-            if k is None:
-                val = 0
-            else:
-                u = sub(path[k], path[k - 1])
-                v = sub(path[k + 1], path[k])
-                val = abs(cross(u, v)) * self.mu_side(path[:k] + path[k + 1 :], side)
-                mirror = add(sub(path[k - 1], path[k]), path[k + 1])
-                if mirror in self.point_set:
-                    val += self.mu_side(path[:k] + (mirror,) + path[k + 1 :], side)
-        self._mu[key] = val
+            k, dropped, mirrored = step
+            u = sub(path[k], path[k - 1])
+            v = sub(path[k + 1], path[k])
+            val = 0
+            for w, cut_signs in rule(u, v, signs, k):
+                val += w * self.side_value(rule, dropped, cut_signs, side)
+            if mirrored is not None:
+                if signs is not None:
+                    signs = signs[: k - 1] + (signs[k], signs[k - 1]) + signs[k + 1 :]
+                val += self.side_value(rule, mirrored, signs, side)
+        memo[key] = val
         return val
 
-    def decode_side(self, path: LatticePath, side: Side) -> tuple[tuple[int, tuple], ...]:
-        """All leaves of the recursion below `path`: (weight, cells) pairs."""
-        key = (path, side)
-        got = self._decode.get(key)
-        if got is not None:
-            return got
-        if len(path) - 1 < self.steps[side]:
-            val: tuple = ()
-        elif path == self.alpha[side]:
-            val = ((1, ()),)
-        else:
-            k = first_convex_vertex(path, side)
-            if k is None:
-                val = ()
-            else:
-                out = []
-                a, b, c = path[k - 1], path[k], path[k + 1]
-                area2 = abs(cross(sub(b, a), sub(c, b)))
-                tri = LatticePolygon([a, b, c])
-                for m, cells in self.decode_side(path[:k] + path[k + 1 :], side):
-                    out.append((m * area2, cells + (tri,)))
-                mirror = add(sub(a, b), c)
-                if mirror in self.point_set:
-                    par = LatticePolygon([a, b, c, mirror])
-                    for m, cells in self.decode_side(path[:k] + (mirror,) + path[k + 1 :], side):
-                        out.append((m, cells + (par,)))
-                val = tuple(out)
-        self._decode[key] = val
+
+def _mu_step(u: LatticePoint, v: LatticePoint, signs: None, k: int):
+    """Triangle step rule of mu: the doubled area of the corner triangle."""
+    return ((abs(cross(u, v)), None),)
+
+
+def _leaves(ctx: _Context, path: LatticePath, side: Side) -> tuple[tuple[int, tuple], ...]:
+    """All leaves of the recursion below `path`: (weight, cells) pairs."""
+    memo = ctx._memos[_leaves]
+    key = (path, side)
+    val = memo.get(key)
+    if val is not None:
         return val
+    step = ctx._moves(path, side)
+    if isinstance(step, int):
+        val = ((1, ()),) if step else ()
+    else:
+        k, dropped, mirrored = step
+        a, b, c = path[k - 1], path[k], path[k + 1]
+        area2 = abs(cross(sub(b, a), sub(c, b)))
+        tri = LatticePolygon([a, b, c])
+        out = [(m * area2, cells + (tri,)) for m, cells in _leaves(ctx, dropped, side)]
+        if mirrored is not None:
+            par = LatticePolygon([a, b, c, mirrored[k]])
+            out += [(m, cells + (par,)) for m, cells in _leaves(ctx, mirrored, side)]
+        val = tuple(out)
+    memo[key] = val
+    return val
 
 
 _contexts: dict[tuple, _Context] = {}
@@ -265,15 +306,46 @@ def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[L
 def mu_side(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint], side: Side) -> int:
     """One-sided multiplicity of a path."""
     ctx = _context(P, order)
-    return ctx.mu_side(_check_path(ctx, path), side)
+    return ctx.side_value(_mu_step, _check_path(ctx, path), None, side)
 
 
 def mu(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> int:
     """Multiplicity of a path: the product of its two one-sided multiplicities."""
     ctx = _context(P, order)
     pts = _check_path(ctx, path)
-    plus = ctx.mu_side(pts, Side.PLUS)
-    return plus and plus * ctx.mu_side(pts, Side.MINUS)
+    plus = ctx.side_value(_mu_step, pts, None, Side.PLUS)
+    return plus and plus * ctx.side_value(_mu_step, pts, None, Side.MINUS)
+
+
+def _steps_for_genus(P: LatticePolygon, g: int) -> int:
+    """Path length s + g - 1 for genus g, s the boundary lattice point count."""
+    s, _ = P.counts()
+    n = s + g - 1
+    if n < 1:
+        raise InvalidGenus(f"genus {g} needs at least one step, got n={n}")
+    return n
+
+
+def _path_sides(
+    P: LatticePolygon,
+    order: LinearOrder,
+    n: int,
+    rule: Callable = _mu_step,
+    signs_of: Callable[[LatticePath], tuple] | None = None,
+    lazy: bool = True,
+) -> Iterator[tuple[LatticePath, int, int]]:
+    """(path, plus, minus) for every increasing path with n steps, in
+    enumeration order, under a triangle step rule.  `signs_of` gives the
+    step sign classes of a path for the signed rule.  When `lazy`, the minus
+    side is evaluated only where the plus side is nonzero, and reads 0
+    elsewhere."""
+    ctx = _context(P, order)
+    for pts in enumerate_paths(P, order, n):
+        signs = signs_of(pts) if signs_of else None
+        plus = ctx.side_value(rule, pts, signs, Side.PLUS)
+        minus = ctx.side_value(rule, pts, signs, Side.MINUS) if plus or not lazy else 0
+        yield pts, plus, minus
+
 
 def count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     """Number of genus-g curves of degree P through a generic point
@@ -281,17 +353,8 @@ def count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     with s + g - 1 steps.  The result does not depend on the order."""
     if order is None:
         order = LinearOrder.default()
-    s, _ = P.counts()
-    n = s + g - 1
-    if n < 1:
-        raise InvalidGenus(f"genus {g} needs at least one step, got n={n}")
-    ctx = _context(P, order)
-    total = 0
-    for pts in enumerate_paths(P, order, n):
-        plus = ctx.mu_side(pts, Side.PLUS)
-        if plus:
-            total += plus * ctx.mu_side(pts, Side.MINUS)
-    return total
+    rows = _path_sides(P, order, _steps_for_genus(P, g))
+    return sum(plus * minus for _, plus, minus in rows)
 
 
 def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> tuple[DecodedCurve, ...]:
@@ -305,8 +368,8 @@ def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) 
     pts = _check_path(ctx, path)
     marked = tuple((pts[j], pts[j + 1]) for j in range(len(pts) - 1))
     out = []
-    for m_plus, cells_plus in ctx.decode_side(pts, Side.PLUS):
-        for m_minus, cells_minus in ctx.decode_side(pts, Side.MINUS):
+    for m_plus, cells_plus in _leaves(ctx, pts, Side.PLUS):
+        for m_minus, cells_minus in _leaves(ctx, pts, Side.MINUS):
             sub_ = DualSubdivision(ambient=P, cells=cells_plus + cells_minus)
             out.append(DecodedCurve(sub_, pts, marked, m_plus * m_minus))
     return tuple(out)

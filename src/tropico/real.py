@@ -3,29 +3,25 @@
 Each marked point carries a quadrant sign in Z2 x Z2.  Moving along a curve
 edge multiplies coordinates by signs determined by the primitive direction of
 the edge, so a sign is only defined up to adding that direction mod 2: signs
-live in two-element classes.  Two recursions refine the path multiplicity mu:
-a signed one (mu_real) whose total counts the real curves among the complex
-ones, and a sign-free one (nu_real) whose total is a Welschinger-type
-invariant.  A third recursion on the marked dual graph of a single decoded
-curve reproduces the per-path signed multiplicity and serves as an oracle.
+live in two-element classes.  Two triangle step rules for the path recursion
+of `paths._Context.side_value` refine the multiplicity mu: a signed one
+(`_mu_real_step`, weighing a triangle by the `_combine` alternatives for the
+classes of its two steps, each leaving the merged class) whose total counts
+the real curves among the complex ones, and a sign-free one (`_nu_step`,
+weighing a triangle by its Welschinger sign, 0 when a side is even) whose
+total is a Welschinger-type invariant.  A separate recursion on the marked
+dual graph of a single decoded curve reproduces the per-path signed
+multiplicity and serves as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .lattice import LatticePoint, LatticePolygon, LinearOrder, cross, sub
-from .paths import (
-    LatticePath,
-    InvalidGenus,
-    Side,
-    _check_path,
-    _context,
-    enumerate_paths,
-    first_convex_vertex,
-)
+from .paths import LatticePath, Side, _check_path, _context, _path_sides, _steps_for_genus
 
 # A sign class: the two quadrant signs from Z2 x Z2 that a curve edge cannot
 # tell apart.
@@ -119,7 +115,6 @@ def _combine(sa: SignClass, va: LatticePoint, sb: SignClass, vb: LatticePoint,
             return [(4, classes[0])]
         return [(2, c) for c in classes]
     # exactly one even edge: it pins the third class to the odd one's side
-    odd = sb if pa == (0, 0) else sa
     common = sa & sb
     if not common:
         return []
@@ -157,89 +152,6 @@ class SignedPath:
         return cls(pts, signs)
 
 
-class _RealContext:
-    """Memo tables for the signed recursions, one per (polygon, order)."""
-
-    def __init__(self, P: LatticePolygon, order: LinearOrder):
-        self.base = _context(P, order)
-        self._mu_real: dict[tuple, int] = {}
-        self._nu: dict[tuple, int] = {}
-
-    def mu_real_side(self, path: LatticePath, signs: tuple, side: Side) -> int:
-        key = (path, signs, side)
-        got = self._mu_real.get(key)
-        if got is not None:
-            return got
-        base = self.base
-        if len(path) - 1 < base.steps[side]:
-            val = 0
-        elif path == base.alpha[side]:
-            val = 1
-        else:
-            k = first_convex_vertex(path, side)
-            if k is None:
-                val = 0
-            else:
-                u = sub(path[k], path[k - 1])
-                v = sub(path[k + 1], path[k])
-                merged_step = (u[0] + v[0], u[1] + v[1])
-                val = 0
-                short = path[:k] + path[k + 1 :]
-                for w, merged in _combine(signs[k - 1], u, signs[k], v, merged_step):
-                    val += w * self.mu_real_side(
-                        short, signs[: k - 1] + (merged,) + signs[k + 1 :], side
-                    )
-                mirror = (path[k - 1][0] + path[k + 1][0] - path[k][0],
-                          path[k - 1][1] + path[k + 1][1] - path[k][1])
-                if mirror in base.point_set:
-                    val += self.mu_real_side(
-                        path[:k] + (mirror,) + path[k + 1 :],
-                        signs[: k - 1] + (signs[k], signs[k - 1]) + signs[k + 1 :],
-                        side,
-                    )
-        self._mu_real[key] = val
-        return val
-
-    def nu_side(self, path: LatticePath, side: Side) -> int:
-        key = (path, side)
-        got = self._nu.get(key)
-        if got is not None:
-            return got
-        base = self.base
-        if len(path) - 1 < base.steps[side]:
-            val = 0
-        elif path == base.alpha[side]:
-            val = 1
-        else:
-            k = first_convex_vertex(path, side)
-            if k is None:
-                val = 0
-            else:
-                u = sub(path[k], path[k - 1])
-                v = sub(path[k + 1], path[k])
-                b = _triangle_welschinger_weight(u, v)
-                val = b * self.nu_side(path[:k] + path[k + 1 :], side) if b else 0
-                mirror = (path[k - 1][0] + path[k + 1][0] - path[k][0],
-                          path[k - 1][1] + path[k + 1][1] - path[k][1])
-                if mirror in base.point_set:
-                    val += self.nu_side(
-                        path[:k] + (mirror,) + path[k + 1 :], side
-                    )
-        self._nu[key] = val
-        return val
-
-
-_real_contexts: dict[tuple, _RealContext] = {}
-
-
-def _real_context(P: LatticePolygon, order: LinearOrder) -> _RealContext:
-    key = (P.vertices, order.primary, order.tiebreak)
-    ctx = _real_contexts.get(key)
-    if ctx is None:
-        ctx = _real_contexts[key] = _RealContext(P, order)
-    return ctx
-
-
 def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     """0 when the triangle spanned by u, v has an even side, else -1 to the
     number of its interior lattice points."""
@@ -255,21 +167,47 @@ def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     return -1 if interior & 1 else 1
 
 
+def _nu_step(u: LatticePoint, v: LatticePoint, signs: None, k: int):
+    """Triangle step rule of nu: the Welschinger weight of the corner
+    triangle; a triangle of weight 0 leaves no alternative."""
+    w = _triangle_welschinger_weight(u, v)
+    return ((w, None),) if w else ()
+
+
+def _mu_real_step(u: LatticePoint, v: LatticePoint, signs: tuple, k: int):
+    """Triangle step rule of mu_real: the `_combine` alternatives for the
+    classes of the two corner steps, each with its merged class in their
+    place."""
+    merged_step = (u[0] + v[0], u[1] + v[1])
+    return [
+        (w, signs[: k - 1] + (merged,) + signs[k + 1 :])
+        for w, merged in _combine(signs[k - 1], u, signs[k], v, merged_step)
+    ]
+
+
+def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[LatticePath], tuple]:
+    """Map a path to the sign classes of its steps under one quadrant sign
+    per step."""
+    def signs_of(pts: LatticePath) -> tuple:
+        return tuple(sign_class_of(sub(pts[j + 1], pts[j]), c) for j, c in enumerate(choices))
+    return signs_of
+
+
 def mu_real_side(
     P: LatticePolygon, order: LinearOrder, signed: SignedPath, side: Side
 ) -> int:
     """Signed one-sided multiplicity of a path."""
-    ctx = _real_context(P, order)
-    _check_path(ctx.base, signed.path)
-    return ctx.mu_real_side(signed.path, signed.signs, side)
+    ctx = _context(P, order)
+    pts = _check_path(ctx, signed.path)
+    return ctx.side_value(_mu_real_step, pts, signed.signs, side)
 
 
 def mu_real(P: LatticePolygon, order: LinearOrder, signed: SignedPath) -> int:
     """Signed multiplicity: product of the two signed one-sided values."""
-    ctx = _real_context(P, order)
-    _check_path(ctx.base, signed.path)
-    plus = ctx.mu_real_side(signed.path, signed.signs, Side.PLUS)
-    return plus and plus * ctx.mu_real_side(signed.path, signed.signs, Side.MINUS)
+    ctx = _context(P, order)
+    pts = _check_path(ctx, signed.path)
+    plus = ctx.side_value(_mu_real_step, pts, signed.signs, Side.PLUS)
+    return plus and plus * ctx.side_value(_mu_real_step, pts, signed.signs, Side.MINUS)
 
 
 def nu_real_side(
@@ -277,9 +215,8 @@ def nu_real_side(
 ) -> int:
     """Welschinger-weighted one-sided multiplicity of a path.  May be
     negative for general polygons."""
-    ctx = _real_context(P, order)
-    pts = _check_path(ctx.base, path)
-    return ctx.nu_side(pts, side)
+    ctx = _context(P, order)
+    return ctx.side_value(_nu_step, _check_path(ctx, path), None, side)
 
 
 def real_signed_count(
@@ -294,23 +231,12 @@ def real_signed_count(
     the signs and on the order."""
     if order is None:
         order = LinearOrder.default()
-    s, _ = P.counts()
-    n = s + g - 1
-    if n < 1:
-        raise InvalidGenus(f"genus {g} needs at least one step, got n={n}")
+    n = _steps_for_genus(P, g)
     choices = [(c[0] & 1, c[1] & 1) for c in signs]
     if len(choices) != n:
         raise ValueError(f"need {n} signs, got {len(choices)}")
-    ctx = _real_context(P, order)
-    total = 0
-    for pts in enumerate_paths(P, order, n):
-        cls = tuple(
-            sign_class_of(sub(pts[j + 1], pts[j]), choices[j]) for j in range(n)
-        )
-        plus = ctx.mu_real_side(pts, cls, Side.PLUS)
-        if plus:
-            total += plus * ctx.mu_real_side(pts, cls, Side.MINUS)
-    return total
+    rows = _path_sides(P, order, n, _mu_real_step, _step_classes(choices))
+    return sum(plus * minus for _, plus, minus in rows)
 
 
 def welschinger_count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
@@ -318,17 +244,8 @@ def welschinger_count(P: LatticePolygon, g: int, order: LinearOrder | None = Non
     nu_plus * nu_minus over all paths.  Order-independent for g = 0."""
     if order is None:
         order = LinearOrder.default()
-    s, _ = P.counts()
-    n = s + g - 1
-    if n < 1:
-        raise InvalidGenus(f"genus {g} needs at least one step, got n={n}")
-    ctx = _real_context(P, order)
-    total = 0
-    for pts in enumerate_paths(P, order, n):
-        plus = ctx.nu_side(pts, Side.PLUS)
-        if plus:
-            total += plus * ctx.nu_side(pts, Side.MINUS)
-    return total
+    rows = _path_sides(P, order, _steps_for_genus(P, g), _nu_step)
+    return sum(plus * minus for _, plus, minus in rows)
 
 
 def vertex_welschinger_sign(T: LatticePolygon) -> int:

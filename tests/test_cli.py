@@ -7,7 +7,8 @@ import sys
 import pytest
 
 from tropico import cli
-from tropico.real import real_signed_count
+from tropico.paths import Side, enumerate_paths, mu_side
+from tropico.real import SignedPath, mu_real_side, nu_real_side, real_signed_count
 from tropico.lattice import LatticePolygon, LinearOrder
 
 D3 = '{"vertices": [[0,0],[3,0],[0,3]]}'
@@ -267,3 +268,73 @@ def test_cli_as_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "12\n"
+
+
+PER_PATH_COMMANDS = {
+    "paths": (["--list"], "paths"),
+    "count": (["--per-path"], "per_path"),
+    "welschinger": (["--per-path"], "per_path"),
+    "real-count": (["--per-path"], "per_path"),
+}
+
+
+def _library_rows(P, order, n, command, choices):
+    """(points, plus, minus, product) per path from the public per-path
+    functions; every path for `paths --list`, else the contributing ones."""
+    rows = []
+    for path in enumerate_paths(P, order, n):
+        if command == "real-count":
+            signed = SignedPath.from_choices(path, choices)
+            plus, minus = (mu_real_side(P, order, signed, side) for side in (Side.PLUS, Side.MINUS))
+        else:
+            side_fn = nu_real_side if command == "welschinger" else mu_side
+            plus, minus = (side_fn(P, order, path, side) for side in (Side.PLUS, Side.MINUS))
+        if command == "paths" or plus * minus != 0:
+            rows.append(([list(p) for p in path], plus, minus, plus * minus))
+    return rows
+
+
+def _cli_rows(out, fmt, key):
+    if fmt == "json":
+        return [
+            (r["points"], int(r["plus"]), int(r["minus"]), int(r["product"]))
+            for r in json.loads(out)[key]
+        ]
+    lines = out.splitlines()
+    assert lines[0] == "plus\tminus\tproduct\tpoints"
+    rows = []
+    for line in lines[1:]:
+        if line.startswith("n_paths") or "\t" not in line:
+            break
+        plus, minus, product, points = line.split("\t")
+        rows.append((json.loads(points)["points"], int(plus), int(minus), int(product)))
+    return rows
+
+
+def test_per_path_rows_match_library(capsys):
+    tokens = list(cli.SIGN_TOKENS)
+    listed_plus_zero = 0
+    for text in (D3, CUSP):
+        P = LatticePolygon([tuple(v) for v in json.loads(text)["vertices"]])
+        s, _ = P.counts()
+        for order_text in (None, "2,1/1,-3"):
+            order = cli._parse_order(order_text)
+            order_flag = [] if order_text is None else [f"--order={order_text}"]
+            for g in (-1, 0):
+                n = s + g - 1
+                signs = [tokens[j % 4] for j in range(n)]
+                for command, (flags, key) in PER_PATH_COMMANDS.items():
+                    extra = ["--signs", ",".join(signs)] if command == "real-count" else []
+                    expected = _library_rows(
+                        P, order, n, command, [cli.SIGN_TOKENS[t] for t in signs]
+                    )
+                    for fmt in ("tsv", "json"):
+                        argv = [command, "--polygon", text, "--genus", str(g),
+                                "--format", fmt, *order_flag, *flags, *extra]
+                        code, out, _ = run(argv, capsys)
+                        assert code == 0, argv
+                        assert _cli_rows(out, fmt, key) == expected, argv
+                    if command == "paths":
+                        listed_plus_zero += sum(1 for r in expected if r[1] == 0 and r[2] != 0)
+    # listed paths whose plus side is 0 still report their minus side
+    assert listed_plus_zero > 0
