@@ -14,6 +14,14 @@ rule here, `_mu_step`, weighs a triangle by its doubled area; `real` adds the
 signed and Welschinger rules.  `decode` walks the same moves and gathers the
 cells, giving the polygon subdivisions dual to the curves a path encodes.
 Every count is a sum over one loop, `_path_sides`.
+
+Inside the recursion a path is a mask: with the polygon's lattice points
+sorted by the order, bit i is set when the i-th point is on the path.
+Cutting the corner at point b is `m ^ (1 << b)`; the mirror point j lies
+between the corner's neighbours in the order, so the mirror move is that
+cut plus `| (1 << j)`.  Each (rule, side) has its own memo keyed by ints.
+The public functions take and yield point tuples and convert at the
+boundary.
 """
 
 from __future__ import annotations
@@ -169,127 +177,171 @@ class DecodedCurve:
 
 
 class _Context:
-    """Per-(polygon, order) cache: boundary chains plus one recursion memo
-    per step rule."""
+    """Per-(polygon, order) cache: the lattice points in order with their
+    coordinates and turn signs by index, the boundary chains as masks, and
+    one recursion memo per (step rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
-        self.polygon = P
-        self.order = order
         self.p, self.q = extremal_vertices(P, order)
+        self.points = sorted(P.lattice_points(), key=order.key)
+        self.n = len(self.points)
+        self.X = [x for x, _ in self.points]
+        self.Y = [y for _, y in self.points]
+        self.bit = {pt: 1 << i for i, pt in enumerate(self.points)}
+        self.convex = {side: self._convex_rows(want) for side, want in _TURN.items()}
         plus, minus = boundary_chains(P, order)
-        self.alpha = {Side.PLUS: plus, Side.MINUS: minus}
+        self.alpha = {Side.PLUS: self.mask(plus), Side.MINUS: self.mask(minus)}
         self.steps = {Side.PLUS: len(plus) - 1, Side.MINUS: len(minus) - 1}
-        self.point_set = frozenset(P.lattice_points())
-        self._memos: defaultdict[Callable, dict] = defaultdict(dict)
+        self._memos: defaultdict[tuple, dict] = defaultdict(dict)
 
-    def sorted_points(self) -> list[LatticePoint]:
-        return sorted(self.point_set, key=self.order.key)
+    def _convex_rows(self, want: int) -> list[list[int]]:
+        """rows[a][b] has bit c set, for a < b < c, when the corner
+        a -> b -> c turns `want`'s way: the turn signs by index."""
+        X, Y, n = self.X, self.Y, self.n
+        return [[0] * (a + 1) + [
+            sum(1 << c for c in range(b + 1, n)
+                if want * ((X[b] - X[a]) * (Y[c] - Y[b]) - (Y[b] - Y[a]) * (X[c] - X[b])) > 0)
+            for b in range(a + 1, n)] for a in range(n)]
 
-    def _moves(self, path: LatticePath, side: Side) -> int | tuple[int, LatticePath, LatticePath | None]:
-        """One corner-smoothing step below `path` on the given side.
+    def mask(self, path: Sequence[LatticePoint]) -> int:
+        return sum(map(self.bit.__getitem__, path))
+
+    def _moves(self, m: int, side: Side, lo: int = 0):
+        """One corner-smoothing step below the path mask `m` on the given side.
 
         Returns a leaf value, 0 (fewer steps than the side's boundary chain,
         or no convex corner) or 1 (the boundary chain itself), or else
-        (k, dropped, mirrored) for the first convex vertex k: the path with
-        that corner cut off, and the path with the corner mirrored across
-        the parallelogram on its two steps (None when the mirror point
-        leaves the polygon).
+        (k, u, v, dropped, mirrored, lo') for the first convex vertex, the
+        path's k-th point: the corner steps u, v, the path with that corner
+        cut off, and the path with the corner mirrored across the
+        parallelogram on u, v (None when the mirror point leaves the
+        polygon).  The scan starts at point `lo`, no earlier vertex being
+        convex; both results may start theirs at `lo'`, the corner's
+        predecessor's predecessor, since they keep the path up to there.
         """
-        if len(path) - 1 < self.steps[side]:
+        if m.bit_count() - 1 < self.steps[side]:
             return 0
-        if path == self.alpha[side]:
+        if m == self.alpha[side]:
             return 1
-        k = first_convex_vertex(path, side)
-        if k is None:
-            return 0
-        mirror = add(sub(path[k - 1], path[k]), path[k + 1])
-        mirrored = path[:k] + (mirror,) + path[k + 1 :] if mirror in self.point_set else None
-        return k, path[:k] + path[k + 1 :], mirrored
+        convex = self.convex[side]
+        a = lo
+        rest = m >> (lo + 1) << (lo + 1)
+        b = (rest & -rest).bit_length() - 1
+        rest &= rest - 1
+        while rest:
+            c_bit = rest & -rest
+            if convex[a][b] & c_bit:
+                X, Y, c = self.X, self.Y, c_bit.bit_length() - 1
+                u, v = (X[b] - X[a], Y[b] - Y[a]), (X[c] - X[b], Y[c] - Y[b])
+                dropped = m ^ (1 << b)
+                mirror = self.bit.get((X[a] + v[0], Y[a] + v[1]))
+                below = m & ((1 << b) - 1)
+                # p, bit 0, is on every path, so `| 1` keeps lo' at 0 when a is p
+                return (below.bit_count(), u, v, dropped, None if mirror is None else dropped | mirror,
+                        ((below ^ (1 << a)) | 1).bit_length() - 1)
+            rest ^= c_bit
+            a, b = b, c_bit.bit_length() - 1
+        return 0
 
-    def side_value(self, rule: Callable, path: LatticePath, signs: tuple | None, side: Side) -> int:
-        """One-sided multiplicity of `path` under a triangle step rule.
+    def side_value(self, rule: Callable, m: int, packed: int, side: Side) -> int:
+        """One-sided multiplicity of the path mask `m` under a triangle step
+        rule.
 
-        `rule(u, v, signs, k)` gives the (weight, signs after the cut)
-        alternatives for cutting off the triangle on the corner steps u, v;
-        `signs` holds one sign class per step, or None for the sign-free
-        rules.  The parallelogram move weighs 1 and swaps the classes of the
-        two corner steps.
+        `rule(u, v, packed, k)` gives the (weight, packed classes after the
+        cut) alternatives for cutting off the triangle on the corner steps
+        u, v, steps k - 1 and k of the path; `packed` holds the step sign
+        classes, 0 for the sign-free rules.  The parallelogram move weighs 1
+        and swaps the classes of the two corner steps.
         """
-        memo = self._memos[rule]
-        key = (path, signs, side)
+        memo = self._memos[rule, side]
+        val = memo.get(m | packed << self.n)
+        return self._value(rule, memo, m, packed, side, 0) if val is None else val
+
+    def _value(self, rule: Callable, memo: dict, m: int, packed: int, side: Side, lo: int) -> int:
+        key = m | packed << self.n
         val = memo.get(key)
         if val is not None:
             return val
-        step = self._moves(path, side)
-        if isinstance(step, int):
+        step = self._moves(m, side, lo)
+        if step.__class__ is int:
             val = step
         else:
-            k, dropped, mirrored = step
-            u = sub(path[k], path[k - 1])
-            v = sub(path[k + 1], path[k])
+            k, u, v, dropped, mirrored, lo = step
             val = 0
-            for w, cut_signs in rule(u, v, signs, k):
-                val += w * self.side_value(rule, dropped, cut_signs, side)
+            for w, cut in rule(u, v, packed, k):
+                val += w * self._value(rule, memo, dropped, cut, side, lo)
             if mirrored is not None:
-                if signs is not None:
-                    signs = signs[: k - 1] + (signs[k], signs[k - 1]) + signs[k + 1 :]
-                val += self.side_value(rule, mirrored, signs, side)
+                if packed:
+                    s = 4 * (k - 1)
+                    x = ((packed >> s) ^ (packed >> (s + 4))) & 15
+                    packed ^= x << s | x << (s + 4)
+                val += self._value(rule, memo, mirrored, packed, side, lo)
         memo[key] = val
         return val
 
 
-def _mu_step(u: LatticePoint, v: LatticePoint, signs: None, k: int):
+def _mu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
     """Triangle step rule of mu: the doubled area of the corner triangle."""
-    return ((abs(cross(u, v)), None),)
+    return ((abs(cross(u, v)), 0),)
 
 
-def _leaves(ctx: _Context, path: LatticePath, side: Side) -> tuple[tuple[int, tuple], ...]:
-    """All leaves of the recursion below `path`: (weight, cells) pairs."""
-    memo = ctx._memos[_leaves]
-    key = (path, side)
-    val = memo.get(key)
+def _leaves(ctx: _Context, m: int, side: Side) -> tuple[tuple[int, tuple], ...]:
+    """All leaves of the recursion below the path mask `m`: (weight, cells)
+    pairs."""
+    memo = ctx._memos[_leaves, side]
+    val = memo.get(m)
     if val is not None:
         return val
-    step = ctx._moves(path, side)
+    step = ctx._moves(m, side)
     if isinstance(step, int):
         val = ((1, ()),) if step else ()
     else:
-        k, dropped, mirrored = step
-        a, b, c = path[k - 1], path[k], path[k + 1]
-        area2 = abs(cross(sub(b, a), sub(c, b)))
+        _, u, v, dropped, mirrored, _ = step
+        b = ctx.points[(m ^ dropped).bit_length() - 1]
+        a, c = sub(b, u), add(b, v)
         tri = LatticePolygon([a, b, c])
-        out = [(m * area2, cells + (tri,)) for m, cells in _leaves(ctx, dropped, side)]
+        area2 = abs(cross(u, v))
+        out = [(w * area2, cells + (tri,)) for w, cells in _leaves(ctx, dropped, side)]
         if mirrored is not None:
-            par = LatticePolygon([a, b, c, mirrored[k]])
-            out += [(m, cells + (par,)) for m, cells in _leaves(ctx, mirrored, side)]
+            par = LatticePolygon([a, b, c, add(a, v)])
+            out += [(w, cells + (par,)) for w, cells in _leaves(ctx, mirrored, side)]
         val = tuple(out)
-    memo[key] = val
+    memo[m] = val
     return val
 
 
+# Contexts kept, least recently used evicted first.  `table` alternates the
+# default order with one resampled order per genus, so two already keep the
+# default-order memos warm across genera.
+_CONTEXTS_KEPT = 8
 _contexts: dict[tuple, _Context] = {}
 
 
 def _context(P: LatticePolygon, order: LinearOrder) -> _Context:
     key = (P.vertices, order.primary, order.tiebreak)
-    ctx = _contexts.get(key)
+    ctx = _contexts.pop(key, None)
     if ctx is None:
-        ctx = _contexts[key] = _Context(P, order)
+        ctx = _Context(P, order)
+        if len(_contexts) >= _CONTEXTS_KEPT:
+            del _contexts[next(iter(_contexts))]
+    _contexts[key] = ctx
     return ctx
 
 
-def _check_path(ctx: _Context, path: Sequence[LatticePoint]) -> LatticePath:
-    pts = tuple(tuple(p) for p in path)
+def _check_path(ctx: _Context, path: Sequence[LatticePoint]) -> int:
+    """The mask of a path, after checking that it is one."""
+    pts = tuple(map(tuple, path))
     if len(pts) < 2:
         raise ValueError("a path needs at least one step")
     if pts[0] != ctx.p or pts[-1] != ctx.q:
         raise ValueError(f"path must run from {ctx.p} to {ctx.q}")
-    keys = [ctx.order.key(p) for p in pts]
-    if any(k2 <= k1 for k1, k2 in zip(keys, keys[1:])):
-        raise ValueError("path is not strictly increasing under the order")
-    if any(p not in ctx.point_set for p in pts):
+    bits = [ctx.bit.get(p) for p in pts]
+    if None in bits:
         raise ValueError("path leaves the polygon")
-    return pts
+    # bits grow with the order, so the path increases exactly when they do
+    if not all(map(int.__lt__, bits, bits[1:])):
+        raise ValueError("path is not strictly increasing under the order")
+    return sum(bits)
 
 
 def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[LatticePath]:
@@ -298,7 +350,7 @@ def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[L
     if n < 1:
         raise ValueError("a path needs at least one step")
     ctx = _context(P, order)
-    inner = ctx.sorted_points()[1:-1]
+    inner = ctx.points[1:-1]
     for mid in itertools.combinations(inner, n - 1):
         yield (ctx.p,) + mid + (ctx.q,)
 
@@ -306,15 +358,15 @@ def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[L
 def mu_side(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint], side: Side) -> int:
     """One-sided multiplicity of a path."""
     ctx = _context(P, order)
-    return ctx.side_value(_mu_step, _check_path(ctx, path), None, side)
+    return ctx.side_value(_mu_step, _check_path(ctx, path), 0, side)
 
 
 def mu(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> int:
     """Multiplicity of a path: the product of its two one-sided multiplicities."""
     ctx = _context(P, order)
-    pts = _check_path(ctx, path)
-    plus = ctx.side_value(_mu_step, pts, None, Side.PLUS)
-    return plus and plus * ctx.side_value(_mu_step, pts, None, Side.MINUS)
+    m = _check_path(ctx, path)
+    plus = ctx.side_value(_mu_step, m, 0, Side.PLUS)
+    return plus and plus * ctx.side_value(_mu_step, m, 0, Side.MINUS)
 
 
 def _steps_for_genus(P: LatticePolygon, g: int) -> int:
@@ -331,19 +383,33 @@ def _path_sides(
     order: LinearOrder,
     n: int,
     rule: Callable = _mu_step,
-    signs_of: Callable[[LatticePath], tuple] | None = None,
+    signs_of: Callable[[LatticePath], int] | None = None,
     lazy: bool = True,
 ) -> Iterator[tuple[LatticePath, int, int]]:
     """(path, plus, minus) for every increasing path with n steps, in
-    enumeration order, under a triangle step rule.  `signs_of` gives the
-    step sign classes of a path for the signed rule.  When `lazy`, the minus
+    enumeration order, under a triangle step rule.  When `lazy`, the minus
     side is evaluated only where the plus side is nonzero, and reads 0
-    elsewhere."""
+    elsewhere.
+
+    `signs_of` gives the packed step sign classes of a path for the signed
+    rule, which runs only where mu is nonzero on both sides; both sides read
+    0 elsewhere.  That loses nothing: every move of mu weighs a positive
+    amount, so a side's mu is 0 exactly where no chain of moves reaches its
+    boundary chain, and the signed rule walks the same moves.
+    """
     ctx = _context(P, order)
+    value, mask = ctx.side_value, ctx.mask
     for pts in enumerate_paths(P, order, n):
-        signs = signs_of(pts) if signs_of else None
-        plus = ctx.side_value(rule, pts, signs, Side.PLUS)
-        minus = ctx.side_value(rule, pts, signs, Side.MINUS) if plus or not lazy else 0
+        m = mask(pts)
+        if signs_of is None:
+            plus = value(rule, m, 0, Side.PLUS)
+            minus = value(rule, m, 0, Side.MINUS) if plus or not lazy else 0
+        elif value(_mu_step, m, 0, Side.PLUS) and value(_mu_step, m, 0, Side.MINUS):
+            packed = signs_of(pts)
+            plus = value(rule, m, packed, Side.PLUS)
+            minus = plus and value(rule, m, packed, Side.MINUS)
+        else:
+            plus = minus = 0
         yield pts, plus, minus
 
 
@@ -365,11 +431,12 @@ def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) 
     triangle areas, and the decoded multiplicities add up to mu(path).
     """
     ctx = _context(P, order)
-    pts = _check_path(ctx, path)
+    m = _check_path(ctx, path)
+    pts = tuple(map(tuple, path))
     marked = tuple((pts[j], pts[j + 1]) for j in range(len(pts) - 1))
     out = []
-    for m_plus, cells_plus in _leaves(ctx, pts, Side.PLUS):
-        for m_minus, cells_minus in _leaves(ctx, pts, Side.MINUS):
+    for m_plus, cells_plus in _leaves(ctx, m, Side.PLUS):
+        for m_minus, cells_minus in _leaves(ctx, m, Side.MINUS):
             sub_ = DualSubdivision(ambient=P, cells=cells_plus + cells_minus)
             out.append(DecodedCurve(sub_, pts, marked, m_plus * m_minus))
     return tuple(out)

@@ -12,6 +12,14 @@ weighing a triangle by its Welschinger sign, 0 when a side is even) whose
 total is a Welschinger-type invariant.  A separate recursion on the marked
 dual graph of a single decoded curve reproduces the per-path signed
 multiplicity and serves as an oracle.
+
+Inside the recursion a sign class is a nibble, a 4-bit mask with bit
+2 * r[0] + r[1] set for each of its two quadrant signs r, and a path's
+classes are packed 4 bits per step into one int, so the signed memo key is
+the int `mask | packed << N`.  Cutting a corner merges the two steps'
+nibbles into one (through `_combine`, cached by what it reads); mirroring it
+swaps them.  `real_signed_count` runs the signed rule only where mu is
+nonzero on both sides, which is exact (see `paths._path_sides`).
 """
 
 from __future__ import annotations
@@ -167,29 +175,56 @@ def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     return -1 if interior & 1 else 1
 
 
-def _nu_step(u: LatticePoint, v: LatticePoint, signs: None, k: int):
+def _nu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
     """Triangle step rule of nu: the Welschinger weight of the corner
     triangle; a triangle of weight 0 leaves no alternative."""
     w = _triangle_welschinger_weight(u, v)
-    return ((w, None),) if w else ()
+    return ((w, 0),) if w else ()
 
 
-def _mu_real_step(u: LatticePoint, v: LatticePoint, signs: tuple, k: int):
+def _nibble(cls: SignClass) -> int:
+    """A sign class as a 4-bit mask: the bit of each quadrant's index in
+    QUADRANTS."""
+    return sum(1 << (2 * r[0] + r[1]) for r in cls)
+
+
+def _class_of_nibble(x: int) -> SignClass:
+    return frozenset(r for i, r in enumerate(QUADRANTS) if x >> i & 1)
+
+
+def _pack(classes) -> int:
+    """Step sign classes packed 4 bits per step, step j at bits 4j..4j+3."""
+    return sum(_nibble(cls) << (4 * j) for j, cls in enumerate(classes))
+
+
+# `_combine` results as (weight, nibble) pairs, keyed by everything it reads:
+# the two nibbles, the parities of the two steps and the primitive parity of
+# their sum; a few thousand keys at most.
+_combined: dict[tuple, tuple[tuple[int, int], ...]] = {}
+
+
+def _mu_real_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
     """Triangle step rule of mu_real: the `_combine` alternatives for the
     classes of the two corner steps, each with its merged class in their
-    place."""
-    merged_step = (u[0] + v[0], u[1] + v[1])
-    return [
-        (w, signs[: k - 1] + (merged,) + signs[k + 1 :])
-        for w, merged in _combine(signs[k - 1], u, signs[k], v, merged_step)
-    ]
+    two nibbles' place."""
+    s = 4 * (k - 1)
+    sa, sb = packed >> s & 15, packed >> (s + 4) & 15
+    w = (u[0] + v[0], u[1] + v[1])
+    key = (sa, sb, _parity(u), _parity(v), _primitive_parity(w))
+    alts = _combined.get(key)
+    if alts is None:
+        merged = _combine(_class_of_nibble(sa), u, _class_of_nibble(sb), v, w)
+        alts = _combined[key] = tuple((weight, _nibble(cls)) for weight, cls in merged)
+    low = packed & ((1 << s) - 1)
+    high = packed >> (s + 8) << (s + 4)
+    return [(weight, low | c << s | high) for weight, c in alts]
 
 
-def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[LatticePath], tuple]:
-    """Map a path to the sign classes of its steps under one quadrant sign
-    per step."""
-    def signs_of(pts: LatticePath) -> tuple:
-        return tuple(sign_class_of(sub(pts[j + 1], pts[j]), c) for j, c in enumerate(choices))
+def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[LatticePath], int]:
+    """Map a path to the packed sign classes of its steps under one
+    quadrant sign per step."""
+    def signs_of(pts: LatticePath) -> int:
+        return _pack(sign_class_of(sub(pts[j + 1], pts[j]), c) for j, c in enumerate(choices))
     return signs_of
 
 
@@ -198,16 +233,17 @@ def mu_real_side(
 ) -> int:
     """Signed one-sided multiplicity of a path."""
     ctx = _context(P, order)
-    pts = _check_path(ctx, signed.path)
-    return ctx.side_value(_mu_real_step, pts, signed.signs, side)
+    m = _check_path(ctx, signed.path)
+    return ctx.side_value(_mu_real_step, m, _pack(signed.signs), side)
 
 
 def mu_real(P: LatticePolygon, order: LinearOrder, signed: SignedPath) -> int:
     """Signed multiplicity: product of the two signed one-sided values."""
     ctx = _context(P, order)
-    pts = _check_path(ctx, signed.path)
-    plus = ctx.side_value(_mu_real_step, pts, signed.signs, Side.PLUS)
-    return plus and plus * ctx.side_value(_mu_real_step, pts, signed.signs, Side.MINUS)
+    m = _check_path(ctx, signed.path)
+    packed = _pack(signed.signs)
+    plus = ctx.side_value(_mu_real_step, m, packed, Side.PLUS)
+    return plus and plus * ctx.side_value(_mu_real_step, m, packed, Side.MINUS)
 
 
 def nu_real_side(
@@ -216,7 +252,7 @@ def nu_real_side(
     """Welschinger-weighted one-sided multiplicity of a path.  May be
     negative for general polygons."""
     ctx = _context(P, order)
-    return ctx.side_value(_nu_step, _check_path(ctx, path), None, side)
+    return ctx.side_value(_nu_step, _check_path(ctx, path), 0, side)
 
 
 def real_signed_count(

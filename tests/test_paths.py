@@ -1,10 +1,19 @@
 """Increasing lattice paths, their multiplicities and decoded curves."""
 
 import json
+import random
+from math import gcd
 
 import pytest
 
-from tropico.lattice import LatticePolygon, LinearOrder, grid_rectangle, standard_triangle
+from tropico import paths
+from tropico.lattice import (
+    LatticePolygon,
+    LinearOrder,
+    boundary_chains,
+    grid_rectangle,
+    standard_triangle,
+)
 from tropico.paths import (
     DualSubdivision,
     InvalidGenus,
@@ -18,6 +27,7 @@ from tropico.paths import (
     mu_side,
     path_to_json,
 )
+from tropico.real import SignedPath, _combine, mu_real_side, nu_real_side, sign_class_of
 
 DEFAULT = LinearOrder.default()
 
@@ -223,3 +233,112 @@ def test_path_json():
     data = json.loads(path_to_json(CAL_PATH))
     assert data["points"][0] == [0, 3]
     assert len(data["points"]) == len(CAL_PATH)
+
+
+def _seeded_order(rng):
+    """An order with independent rows, so injective on all of Z^2."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            return LinearOrder((a, b), (c, d))
+
+
+def test_context_cache_stays_bounded():
+    rng = random.Random(5)
+    P = standard_triangle(4)
+    for _ in range(60):
+        assert count(P, 0, _seeded_order(rng)) == 675
+        assert len(paths._contexts) <= paths._CONTEXTS_KEPT
+    # like `table`: the default order, then a resampled one, genus by genus;
+    # the default-order context and its memos stay in the cache throughout
+    ctx = paths._context(P, DEFAULT)
+    for g in range(-1, 4):
+        assert count(P, g) == count(P, g, _seeded_order(rng))
+        assert paths._context(P, DEFAULT) is ctx
+
+
+# -- reference recursion: point tuples, no memo, from the definition ---------
+
+
+def _cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _area_weight(u, v, classes, k):
+    return [(abs(_cross(u, v)), classes)]
+
+
+def _welschinger_weight(u, v, classes, k):
+    """0 when a side of the corner triangle has even lattice length, else -1
+    to the number of its interior lattice points (Pick)."""
+    sides = (u, v, (u[0] + v[0], u[1] + v[1]))
+    lengths = [gcd(abs(x), abs(y)) for x, y in sides]
+    if any(n % 2 == 0 for n in lengths):
+        return []
+    interior = (abs(_cross(u, v)) - sum(lengths) + 2) // 2
+    return [((-1) ** interior, classes)]
+
+
+def _signed_weight(u, v, classes, k):
+    merged = (u[0] + v[0], u[1] + v[1])
+    return [
+        (w, classes[: k - 1] + (cls,) + classes[k + 1 :])
+        for w, cls in _combine(classes[k - 1], u, classes[k], v, merged)
+    ]
+
+
+def _reference_side(P, order, path, side, weight, classes=None):
+    """One-sided value of a path: 0 below the side's boundary chain length,
+    1 on the chain; else, at the first vertex turning the side's way, the
+    weighted cut of the corner triangle plus the parallelogram mirror,
+    which weighs 1 and swaps the two steps' classes."""
+    alpha = boundary_chains(P, order)[0 if side is Side.PLUS else 1]
+    if len(path) < len(alpha):
+        return 0
+    if path == alpha:
+        return 1
+    turn = 1 if side is Side.PLUS else -1
+    for k in range(1, len(path) - 1):
+        a, b, c = path[k - 1], path[k], path[k + 1]
+        u, v = (b[0] - a[0], b[1] - a[1]), (c[0] - b[0], c[1] - b[1])
+        if _cross(u, v) * turn > 0:
+            break
+    else:
+        return 0
+    total = sum(
+        w * _reference_side(P, order, path[:k] + path[k + 1 :], side, weight, cut)
+        for w, cut in weight(u, v, classes, k)
+    )
+    mirror = (a[0] + v[0], a[1] + v[1])
+    if P.contains(mirror):
+        if classes is not None:
+            classes = classes[: k - 1] + (classes[k], classes[k - 1]) + classes[k + 1 :]
+        total += _reference_side(P, order, path[:k] + (mirror,) + path[k + 1 :], side, weight, classes)
+    return total
+
+
+CUSP = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
+
+
+@pytest.mark.parametrize("P, g", [
+    (standard_triangle(3), 0), (standard_triangle(4), 1), (grid_rectangle(2, 2), 0), (CUSP, 0),
+])
+def test_side_values_match_reference_recursion(P, g):
+    rng = random.Random(f"{P.vertices}|{g}")
+    s, _ = P.counts()
+    n = s + g - 1
+    for _ in range(5):
+        order = _seeded_order(rng)
+        choices = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)]
+        for pts in enumerate_paths(P, order, n):
+            classes = tuple(
+                sign_class_of((b[0] - a[0], b[1] - a[1]), c)
+                for a, b, c in zip(pts, pts[1:], choices)
+            )
+            signed = SignedPath(pts, classes)
+            for side in Side:
+                assert mu_side(P, order, pts, side) == _reference_side(P, order, pts, side, _area_weight)
+                assert nu_real_side(P, order, pts, side) == _reference_side(
+                    P, order, pts, side, _welschinger_weight)
+                assert mu_real_side(P, order, signed, side) == _reference_side(
+                    P, order, pts, side, _signed_weight, classes)

@@ -123,6 +123,40 @@ def test_real_count_cusp_depends_on_order():
     assert real_signed_count(P, 0, LinearOrder((1, 0), (0, 1)), signs) == 3
 
 
+def _random_order(rng):
+    """An order with independent rows, so injective on all of Z^2."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            return LinearOrder((a, b), (c, d))
+
+
+@pytest.mark.parametrize("P, g", [
+    (standard_triangle(4), 0), (standard_triangle(4), 1), (grid_rectangle(3, 3), -1),
+])
+def test_real_count_equals_ungated_path_sum(P, g):
+    # real_signed_count runs the signed rule only where mu is nonzero on both
+    # sides; the public per-path functions run it everywhere.
+    rng = random.Random(f"gate|{P.vertices}|{g}")
+    s, _ = P.counts()
+    n = s + g - 1
+    dropped_rows = 0
+    for _ in range(3):
+        order = _random_order(rng)
+        choices = [rng.choice(QUADRANTS) for _ in range(n)]
+        total = 0
+        for pts in enumerate_paths(P, order, n):
+            signed = SignedPath.from_choices(pts, choices)
+            total += mu_real(P, order, signed)
+            if (mu_side(P, order, pts, Side.PLUS) and not mu_side(P, order, pts, Side.MINUS)
+                    and mu_real_side(P, order, signed, Side.PLUS)):
+                dropped_rows += 1
+        assert real_signed_count(P, g, order, choices) == total
+    # paths whose signed plus side is nonzero but whose mu minus side is 0:
+    # the gate skips them, so it really drops rows
+    assert dropped_rows > 0
+
+
 def test_real_count_validates_sign_count():
     with pytest.raises(ValueError):
         real_signed_count(standard_triangle(2), 0, None, [(0, 0)] * 4)
