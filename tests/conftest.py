@@ -9,6 +9,7 @@ from math import lcm
 import numpy as np
 
 from tropico.curves import TropicalPolynomial
+from tropico.lattice import LinearOrder
 
 
 def random_concave(P, rng):
@@ -22,6 +23,14 @@ def random_concave(P, rng):
             for j in P.lattice_points()
         }
     )
+
+
+def random_order(rng):
+    """An order with independent rows, so injective on all of Z^2."""
+    while True:
+        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
+        if a * d - b * c:
+            return LinearOrder((a, b), (c, d))
 
 
 def grid_tie_points(f, C, pitch_den=64):

@@ -5,6 +5,7 @@ import random
 from math import gcd
 
 import pytest
+from conftest import random_order
 
 from tropico import paths
 from tropico.lattice import (
@@ -235,25 +236,17 @@ def test_path_json():
     assert len(data["points"]) == len(CAL_PATH)
 
 
-def _seeded_order(rng):
-    """An order with independent rows, so injective on all of Z^2."""
-    while True:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c:
-            return LinearOrder((a, b), (c, d))
-
-
 def test_context_cache_stays_bounded():
     rng = random.Random(5)
     P = standard_triangle(4)
     for _ in range(60):
-        assert count(P, 0, _seeded_order(rng)) == 675
+        assert count(P, 0, random_order(rng)) == 675
         assert len(paths._contexts) <= paths._CONTEXTS_KEPT
     # like `table`: the default order, then a resampled one, genus by genus;
     # the default-order context and its memos stay in the cache throughout
     ctx = paths._context(P, DEFAULT)
     for g in range(-1, 4):
-        assert count(P, g) == count(P, g, _seeded_order(rng))
+        assert count(P, g) == count(P, g, random_order(rng))
         assert paths._context(P, DEFAULT) is ctx
 
 
@@ -328,7 +321,7 @@ def test_side_values_match_reference_recursion(P, g):
     s, _ = P.counts()
     n = s + g - 1
     for _ in range(5):
-        order = _seeded_order(rng)
+        order = random_order(rng)
         choices = [(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)]
         for pts in enumerate_paths(P, order, n):
             classes = tuple(

@@ -6,6 +6,7 @@ import itertools
 import random
 
 import pytest
+from conftest import random_order
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,14 +124,6 @@ def test_real_count_cusp_depends_on_order():
     assert real_signed_count(P, 0, LinearOrder((1, 0), (0, 1)), signs) == 3
 
 
-def _random_order(rng):
-    """An order with independent rows, so injective on all of Z^2."""
-    while True:
-        a, b, c, d = (rng.randint(-3, 3) for _ in range(4))
-        if a * d - b * c:
-            return LinearOrder((a, b), (c, d))
-
-
 @pytest.mark.parametrize("P, g", [
     (standard_triangle(4), 0), (standard_triangle(4), 1), (grid_rectangle(3, 3), -1),
 ])
@@ -142,7 +135,7 @@ def test_real_count_equals_ungated_path_sum(P, g):
     n = s + g - 1
     dropped_rows = 0
     for _ in range(3):
-        order = _random_order(rng)
+        order = random_order(rng)
         choices = [rng.choice(QUADRANTS) for _ in range(n)]
         total = 0
         for pts in enumerate_paths(P, order, n):
