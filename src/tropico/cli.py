@@ -32,7 +32,7 @@ from .lattice import (
     grid_rectangle,
     standard_triangle,
 )
-from .paths import InvalidGenus, _path_sides, _steps_for_genus, count, path_to_json
+from .paths import InvalidGenus, _mu_step, _path_sides, _steps_for_genus, count, path_to_json
 from .real import _mu_real_step, _nu_step, _step_classes, welschinger_count
 
 SIGN_TOKENS = {"++": (0, 0), "+-": (0, 1), "-+": (1, 0), "--": (1, 1)}
@@ -126,13 +126,10 @@ def _second_order(P: LatticePolygon, tag: str) -> LinearOrder:
             return cand
 
 
-_LIBRARY_TOTALS = {"count": count, "welschinger": welschinger_count}
-
-
-def _smoke_check(P, g, mode, reported: int) -> bool:
-    """Recompute the total under an independently sampled order."""
-    order2 = _second_order(P, f"{mode}|{g}")
-    return _LIBRARY_TOTALS[mode](P, g, order2) == reported
+def _smoke_check(P, g, mode, total_of, reported: int) -> bool:
+    """Recompute the total with the library count `total_of` under an
+    independently sampled order."""
+    return total_of(P, g, _second_order(P, f"{mode}|{g}")) == reported
 
 
 def _per_path_json(rows) -> list[dict]:
@@ -153,9 +150,28 @@ def _print_per_path_tsv(rows) -> None:
         print(f"{plus}\t{minus}\t{plus * minus}\t{path_to_json(path)}")
 
 
-def _emit_count_result(args, P, order, rows, label: str, extra=None):
-    """Print the total of (path, plus, minus) rows, with one row per
-    contributing path under --per-path."""
+# Per counting command: its triangle step rule, whether it takes --signs,
+# the JSON key of its total, and its resampled-order cross-check as (the
+# library count recomputed, whether only genus 0 is checked, what the
+# failure message calls the total), None when the total may depend on the
+# order.  The Welschinger count is order-independent only in genus 0.
+_COUNTING = {
+    "count": (_mu_step, False, "count", (count, False, "count")),
+    "welschinger": (_nu_step, False, "welschinger", (welschinger_count, True, "welschinger count")),
+    "real-count": (_mu_real_step, True, "real_count", None),
+}
+
+
+def cmd_counting(args) -> int:
+    """count, welschinger and real-count: the total of a step rule over the
+    paths, with one row per contributing path under --per-path."""
+    rule, takes_signs, label, check = _COUNTING[args.command]
+    P = _parse_polygon(args.polygon)
+    order = _parse_order(args.order)
+    n = _steps_for_genus(P, args.genus)
+    signs_of = _step_classes(_parse_signs(args.signs, n)) if takes_signs else None
+    _check_jobs(args)
+    rows = list(_path_sides(P, order, n, rule, signs_of))
     total = sum(plus * minus for _, plus, minus in rows)
     contributing = [row for row in rows if row[1] * row[2] != 0]
     if args.format == "json":
@@ -165,60 +181,22 @@ def _emit_count_result(args, P, order, rows, label: str, extra=None):
             "genus": args.genus,
             label: str(total),
         }
-        if extra:
-            doc.update(extra)
-        if getattr(args, "per_path", False):
+        if takes_signs:
+            doc["signs"] = args.signs
+        if args.per_path:
             doc["per_path"] = _per_path_json(contributing)
         print(json.dumps(doc))
     else:
-        if getattr(args, "per_path", False):
+        if args.per_path:
             _print_per_path_tsv(contributing)
         print(total)
-    return total
-
-
-def cmd_count(args) -> int:
-    P = _parse_polygon(args.polygon)
-    order = _parse_order(args.order)
-    n = _steps_for_genus(P, args.genus)
-    _check_jobs(args)
-    rows = list(_path_sides(P, order, n))
-    total = _emit_count_result(args, P, order, rows, "count")
-    if not _smoke_check(P, args.genus, "count", total):
-        print("cross-check failed: count changed under a resampled order", file=sys.stderr)
+    if check is None:
+        return 0
+    total_of, genus_0_only, what = check
+    if (args.genus == 0 or not genus_0_only) and not _smoke_check(
+            P, args.genus, args.command, total_of, total):
+        print(f"cross-check failed: {what} changed under a resampled order", file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_welschinger(args) -> int:
-    P = _parse_polygon(args.polygon)
-    order = _parse_order(args.order)
-    n = _steps_for_genus(P, args.genus)
-    _check_jobs(args)
-    rows = list(_path_sides(P, order, n, _nu_step))
-    total = _emit_count_result(args, P, order, rows, "welschinger")
-    # the signed count is order-independent only in genus 0, so that is the
-    # only case the resampled-order cross-check may assert
-    if args.genus == 0 and not _smoke_check(P, 0, "welschinger", total):
-        print(
-            "cross-check failed: welschinger count changed under a resampled order",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def cmd_real_count(args) -> int:
-    P = _parse_polygon(args.polygon)
-    order = _parse_order(args.order)
-    n = _steps_for_genus(P, args.genus)
-    choices = _parse_signs(args.signs, n)
-    _check_jobs(args)
-    rows = list(_path_sides(P, order, n, _mu_real_step, _step_classes(choices)))
-    _emit_count_result(
-        args, P, order, rows, "real_count", extra={"signs": args.signs}
-    )
-    # no resampled-order check: the value legitimately depends on the order
     return 0
 
 
@@ -360,7 +338,7 @@ def cmd_table(args) -> int:
         P = _table_polygon(family, d)
         for g in range(-1, g_max + 1):
             total = count(P, g, order)
-            if not _smoke_check(P, g, "count", total):
+            if not _smoke_check(P, g, "count", count, total):
                 print(
                     f"cross-check failed for d={d}, g={g} under a resampled order",
                     file=sys.stderr,
@@ -405,19 +383,19 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--per-path", action="store_true", dest="per_path",
                    help="one row per contributing path")
-    p.set_defaults(func=cmd_count)
+    p.set_defaults(func=cmd_counting)
 
     p = sub.add_parser("welschinger", help="signed count of real curves")
     common(p)
     p.add_argument("--per-path", action="store_true", dest="per_path")
-    p.set_defaults(func=cmd_welschinger)
+    p.set_defaults(func=cmd_counting)
 
     p = sub.add_parser("real-count", help="real curves among the complex ones, by point signs")
     common(p)
     p.add_argument("--signs", default="++",
                    help="quadrant signs per point: one token to broadcast or a comma list of ++ +- -+ --")
     p.add_argument("--per-path", action="store_true", dest="per_path")
-    p.set_defaults(func=cmd_real_count)
+    p.set_defaults(func=cmd_counting)
 
     p = sub.add_parser("paths", help="enumerate increasing lattice paths")
     common(p)

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Mapping, Sequence
 
 from .lattice import (
     LatticePoint,
@@ -25,7 +25,7 @@ from .lattice import (
     primitive,
     sub,
 )
-from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision
+from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision, _ambient_side, _edge_key
 from .real import Chain, EdgeKey, MarkedDualGraph
 
 RationalPoint = tuple[Fraction, Fraction]
@@ -278,22 +278,6 @@ def _rational_primitive(vx: Fraction, vy: Fraction) -> LatticePoint:
     return primitive((int(vx * scale), int(vy * scale)))
 
 
-def _edge_key(a: LatticePoint, b: LatticePoint) -> EdgeKey:
-    return (a, b) if a <= b else (b, a)
-
-
-def _outward_normal(ambient: LatticePolygon, a: LatticePoint, b: LatticePoint) -> LatticePoint:
-    """Outward primitive normal of the ambient side containing segment a-b."""
-    for s0, s1 in ambient.sides():
-        d = sub(s1, s0)
-        if cross(d, sub(a, s0)) == 0 and cross(d, sub(b, s0)) == 0:
-            lo = [min(s0[i], s1[i]) for i in (0, 1)]
-            hi = [max(s0[i], s1[i]) for i in (0, 1)]
-            if all(lo[i] <= a[i] <= hi[i] and lo[i] <= b[i] <= hi[i] for i in (0, 1)):
-                return primitive((d[1], -d[0]))
-    raise MalformedSubdivision(f"edge {a}-{b} is not on the ambient boundary")
-
-
 def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     """The corner locus of f as a weighted graph dual to its subdivision:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
@@ -325,7 +309,9 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
             bounded.append((i, j, w, d))
         else:
             (i,) = incident
-            rays.append((i, _outward_normal(sub_.ambient, a, b), w))
+            # the tiling check put this edge on a side; the ray is its outward normal
+            s0, s1 = _ambient_side(sub_.ambient, a, b)
+            rays.append((i, primitive((s1[1] - s0[1], s0[0] - s1[0])), w))
     return PlaneTropicalCurve(
         vertices=tuple(vertices),
         bounded_edges=tuple(bounded),

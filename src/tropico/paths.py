@@ -94,6 +94,20 @@ def _edge_key(a: LatticePoint, b: LatticePoint) -> tuple[LatticePoint, LatticePo
     return (a, b) if a <= b else (b, a)
 
 
+def _ambient_side(
+    P: LatticePolygon, a: LatticePoint, b: LatticePoint
+) -> tuple[LatticePoint, LatticePoint] | None:
+    """The side (s0, s1) of P that contains the segment a-b, or None."""
+    for s0, s1 in P.sides():
+        d = sub(s1, s0)
+        if cross(d, sub(a, s0)) == 0 and cross(d, sub(b, s0)) == 0:
+            lo = [min(s0[i], s1[i]) for i in (0, 1)]
+            hi = [max(s0[i], s1[i]) for i in (0, 1)]
+            if all(lo[i] <= a[i] <= hi[i] and lo[i] <= b[i] <= hi[i] for i in (0, 1)):
+                return s0, s1
+    return None
+
+
 @dataclass(frozen=True)
 class DualSubdivision:
     """A set of convex lattice cells tiling an ambient polygon."""
@@ -119,16 +133,6 @@ class DualSubdivision:
                 edges.setdefault(_edge_key(a, b), []).append(i)
         return edges
 
-    def _on_ambient_boundary(self, a: LatticePoint, b: LatticePoint) -> bool:
-        for s0, s1 in self.ambient.sides():
-            d = sub(s1, s0)
-            if cross(d, sub(a, s0)) == 0 and cross(d, sub(b, s0)) == 0:
-                lo = [min(s0[i], s1[i]) for i in (0, 1)]
-                hi = [max(s0[i], s1[i]) for i in (0, 1)]
-                if all(lo[i] <= a[i] <= hi[i] and lo[i] <= b[i] <= hi[i] for i in (0, 1)):
-                    return True
-        return False
-
     def interior_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
         return sorted(e for e, cs in self.edge_map().items() if len(cs) == 2)
 
@@ -144,9 +148,10 @@ class DualSubdivision:
         for (a, b), cs in self.edge_map().items():
             if len(cs) > 2:
                 raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            if len(cs) == 1 and not self._on_ambient_boundary(a, b):
+            on_boundary = _ambient_side(self.ambient, a, b) is not None
+            if len(cs) == 1 and not on_boundary:
                 raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
-            if len(cs) == 2 and self._on_ambient_boundary(a, b):
+            if len(cs) == 2 and on_boundary:
                 raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
         for c in self.cells:
             if not all(self.ambient.contains(v) for v in c.vertices):

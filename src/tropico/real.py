@@ -5,7 +5,7 @@ edge multiplies coordinates by signs determined by the primitive direction of
 the edge, so a sign is only defined up to adding that direction mod 2: signs
 live in two-element classes.  Two triangle step rules for the path recursion
 of `paths._Context.side_value` refine the multiplicity mu: a signed one
-(`_mu_real_step`, weighing a triangle by the `_combine` alternatives for the
+(`_mu_real_step`, weighing a triangle by the `_merge` alternatives for the
 classes of its two steps, each leaving the merged class) whose total counts
 the real curves among the complex ones, and a sign-free one (`_nu_step`,
 weighing a triangle by its Welschinger sign, 0 when a side is even) whose
@@ -13,13 +13,17 @@ total is a Welschinger-type invariant.  A separate recursion on the marked
 dual graph of a single decoded curve reproduces the per-path signed
 multiplicity and serves as an oracle.
 
-Inside the recursion a sign class is a nibble, a 4-bit mask with bit
-2 * r[0] + r[1] set for each of its two quadrant signs r, and a path's
-classes are packed 4 bits per step into one int, so the signed memo key is
-the int `mask | packed << N`.  Cutting a corner merges the two steps'
-nibbles into one (through `_combine`, cached by what it reads); mirroring it
-swaps them.  `real_signed_count` runs the signed rule only where mu is
-nonzero on both sides, which is exact (see `paths._path_sides`).
+Inside, a sign class is a nibble, a 4-bit mask with bit 2 * r[0] + r[1] set
+for each of its two quadrant signs r, and a vector's parity or primitive
+parity is the same kind of index.  `_merge` is the one definition of how
+two classes meet at a trivalent vertex; the signed rule and the oracle both
+call it.  The recursion packs a path's classes 4 bits per step into one
+int, so the signed memo key is the int `mask | packed << N`; cutting a
+corner merges the two steps' nibbles into one, mirroring it swaps them.
+`real_signed_count` runs the signed rule only where mu is nonzero on both
+sides, which is exact (see `paths._path_sides`).  Frozenset classes appear
+only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
+`curve_real_multiplicity`, and `_combine`, `_merge` on frozensets.
 """
 
 from __future__ import annotations
@@ -59,6 +63,32 @@ def _xor(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return (a[0] ^ b[0], a[1] ^ b[1])
 
 
+def _index(r: tuple[int, int]) -> int:
+    """The index 2 * x + y in QUADRANTS of a quadrant sign, or of the parity
+    of a vector."""
+    return (r[0] & 1) << 1 | r[1] & 1
+
+
+def _primitive_index(v: LatticePoint) -> int:
+    return _index(_primitive_parity(v))
+
+
+def _class_nibble(t: int, pp: int) -> int:
+    """The class {t, t ^ pp} of the quadrant index t modulo the primitive
+    parity index pp, as a nibble."""
+    return 1 << t | 1 << (t ^ pp)
+
+
+def _nibble(cls: SignClass) -> int:
+    """A sign class as a 4-bit mask: the bit of each quadrant's index in
+    QUADRANTS."""
+    return sum(1 << (2 * r[0] + r[1]) for r in cls)
+
+
+def _class_of_nibble(x: int) -> SignClass:
+    return frozenset(r for i, r in enumerate(QUADRANTS) if x >> i & 1)
+
+
 def sign_class_of(step: LatticePoint, representative: tuple[int, int]) -> SignClass:
     """The class of a quadrant sign modulo the primitive vector of the step:
     {r, r + primitive(step) mod 2}."""
@@ -72,61 +102,51 @@ def _is_class_of(step: LatticePoint, cls: SignClass) -> bool:
     return bool(cls) and sign_class_of(step, next(iter(cls))) == cls
 
 
-def _class_mod(rep: tuple[int, int], pp: tuple[int, int]) -> SignClass:
-    return frozenset({rep, _xor(rep, pp)})
+def _pack(classes) -> int:
+    """Step sign classes packed 4 bits per step, step j at bits 4j..4j+3."""
+    return sum(_nibble(cls) << (4 * j) for j, cls in enumerate(classes))
+
+
+# `_merge` results by the one int key its five arguments pack into: 2^14
+# keys at most, a few hundred in practice.
+_merges: dict[int, tuple[tuple[int, int], ...]] = {}
+
+
+def _merge(na: int, nb: int, pa: int, pb: int, pm: int) -> tuple[tuple[int, int], ...]:
+    """Merge the class nibbles of two edges meeting at a trivalent vertex.
+
+    pa, pb are the parity indices of the two edge vectors and pm the
+    primitive parity index of the third one.  Returns the admissible
+    (weight, nibble) alternatives for the third edge's class, none when the
+    two classes share no sign.  The case split is by the parity of the edge
+    weights.  Two odd edges of independent direction share exactly one
+    sign, as classes modulo different parities do, and the third class
+    holds their other two.  Otherwise each shared sign t admits the third
+    class {t, t ^ pm}, and the classes so admitted split a weight of 2
+    evenly, or of 4 when both edges are even: an edge of even weight
+    doubles the count of real curves whenever its class meets the other
+    one.
+    """
+    key = na | nb << 4 | pa << 8 | pb << 10 | pm << 12
+    alts = _merges.get(key)
+    if alts is None:
+        if pa and pb and pa != pb:
+            alts = ((1, na ^ nb),)
+        else:
+            common = na & nb
+            classes = sorted({_class_nibble(t, pm) for t in range(4) if common >> t & 1})
+            weight = 2 if pa or pb else 4
+            alts = tuple((weight // len(classes), c) for c in classes)
+        _merges[key] = alts
+    return alts
 
 
 def _combine(sa: SignClass, va: LatticePoint, sb: SignClass, vb: LatticePoint,
              vm: LatticePoint):
-    """Merge the sign classes of two edges meeting at a trivalent vertex.
-
-    va, vb are the two edge vectors, vm the third one (orientations do not
-    matter).  Returns the admissible (weight, class) alternatives for the
-    third edge.  Empty when the signs are incompatible.  The case split is by
-    the parity of the edge weights: two odd edges of independent direction
-    force the third class away from their one shared sign, two odd edges of
-    equal direction parity leave one admissible third class per shared sign
-    (both count), and an edge of even weight doubles the count of real curves
-    whenever its class meets the other one.
-    """
-    pa, pb = _parity(va), _parity(vb)
-    ppm = _primitive_parity(vm)
-    if pa != (0, 0) and pb != (0, 0):
-        if pa == pb:
-            if sa != sb:
-                return []
-            out = []
-            for t in sorted(sa):
-                cls = _class_mod(t, ppm)
-                for i, (w, c) in enumerate(out):
-                    if c == cls:
-                        out[i] = (w + 1, c)
-                        break
-                else:
-                    out.append((1, cls))
-            return out
-        common = sa & sb
-        if not common:
-            return []
-        (t,) = common
-        return [(1, _class_mod(_xor(t, pa), ppm))]
-    if pa == (0, 0) and pb == (0, 0):
-        common = sa & sb
-        if not common:
-            return []
-        classes = []
-        for t in sorted(common):
-            cls = _class_mod(t, ppm)
-            if cls not in classes:
-                classes.append(cls)
-        if len(classes) == 1:
-            return [(4, classes[0])]
-        return [(2, c) for c in classes]
-    # exactly one even edge: it pins the third class to the odd one's side
-    common = sa & sb
-    if not common:
-        return []
-    return [(2, _class_mod(min(common), ppm))]
+    """`_merge` on frozenset classes: va, vb are the two edge vectors, vm the
+    third one (orientations do not matter); a list of (weight, class)."""
+    alts = _merge(_nibble(sa), _nibble(sb), _index(va), _index(vb), _primitive_index(vm))
+    return [(weight, _class_of_nibble(c)) for weight, c in alts]
 
 
 @dataclass(frozen=True)
@@ -182,39 +202,13 @@ def _nu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
     return ((w, 0),) if w else ()
 
 
-def _nibble(cls: SignClass) -> int:
-    """A sign class as a 4-bit mask: the bit of each quadrant's index in
-    QUADRANTS."""
-    return sum(1 << (2 * r[0] + r[1]) for r in cls)
-
-
-def _class_of_nibble(x: int) -> SignClass:
-    return frozenset(r for i, r in enumerate(QUADRANTS) if x >> i & 1)
-
-
-def _pack(classes) -> int:
-    """Step sign classes packed 4 bits per step, step j at bits 4j..4j+3."""
-    return sum(_nibble(cls) << (4 * j) for j, cls in enumerate(classes))
-
-
-# `_combine` results as (weight, nibble) pairs, keyed by everything it reads:
-# the two nibbles, the parities of the two steps and the primitive parity of
-# their sum; a few thousand keys at most.
-_combined: dict[tuple, tuple[tuple[int, int], ...]] = {}
-
-
 def _mu_real_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
-    """Triangle step rule of mu_real: the `_combine` alternatives for the
+    """Triangle step rule of mu_real: the `_merge` alternatives for the
     classes of the two corner steps, each with its merged class in their
     two nibbles' place."""
     s = 4 * (k - 1)
-    sa, sb = packed >> s & 15, packed >> (s + 4) & 15
-    w = (u[0] + v[0], u[1] + v[1])
-    key = (sa, sb, _parity(u), _parity(v), _primitive_parity(w))
-    alts = _combined.get(key)
-    if alts is None:
-        merged = _combine(_class_of_nibble(sa), u, _class_of_nibble(sb), v, w)
-        alts = _combined[key] = tuple((weight, _nibble(cls)) for weight, cls in merged)
+    alts = _merge(packed >> s & 15, packed >> (s + 4) & 15, _index(u), _index(v),
+                  _primitive_index((u[0] + v[0], u[1] + v[1])))
     low = packed & ((1 << s) - 1)
     high = packed >> (s + 8) << (s + 4)
     return [(weight, low | c << s | high) for weight, c in alts]
@@ -223,8 +217,11 @@ def _mu_real_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
 def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[LatticePath], int]:
     """Map a path to the packed sign classes of its steps under one
     quadrant sign per step."""
+    indices = [_index(c) for c in choices]
+
     def signs_of(pts: LatticePath) -> int:
-        return _pack(sign_class_of(sub(pts[j + 1], pts[j]), c) for j, c in enumerate(choices))
+        return sum(_class_nibble(t, _primitive_index(sub(b, a))) << (4 * j)
+                   for j, (a, b, t) in enumerate(zip(pts, pts[1:], indices)))
     return signs_of
 
 
@@ -314,9 +311,6 @@ class Chain:
 
     def vector(self) -> LatticePoint:
         return sub(self.edges[0][1], self.edges[0][0])
-
-    def parity(self) -> tuple[int, int]:
-        return _primitive_parity(self.vector())
 
 
 @dataclass(frozen=True)
@@ -419,43 +413,42 @@ def curve_real_multiplicity(
     if set(rank) != marked:
         raise ValueError("pair_order must list exactly the marked edges")
 
+    nibbles = {e: _nibble(cls) for e, cls in signs.items()}
     total = 1
     for comp in _one_end_components(G, marked):
-        total *= _prune_component(comp["pieces"], signs, rank)
+        total *= _prune_component(comp["pieces"], nibbles, rank)
         if total == 0:
             return 0
     return total
 
 
-def _prune_component(pieces, signs, rank) -> int:
+def _prune_component(pieces, nibbles, rank) -> int:
     tri_ports: dict[int, list[int]] = {}
-    resolved: dict[int, tuple] = {}  # piece -> (triangle it points at, class, key)
+    resolved: dict[int, tuple] = {}  # piece -> (triangle it points at, class nibble, key)
     for idx, (a, b, vec) in enumerate(pieces):
         for t in (a, b):
             if t[0] == "tri":
                 tri_ports.setdefault(t[1], []).append(idx)
         if a[0] == "mark" and b[0] == "tri":
-            resolved[idx] = (b[1], frozenset(signs[a[1]]), (0, rank[a[1]]))
+            resolved[idx] = (b[1], nibbles[a[1]], (0, rank[a[1]]))
         elif b[0] == "mark" and a[0] == "tri":
-            resolved[idx] = (a[1], frozenset(signs[b[1]]), (0, rank[b[1]]))
+            resolved[idx] = (a[1], nibbles[b[1]], (0, rank[b[1]]))
         # mark-to-end pieces carry no constraint; the tree/end census already
         # rejected mark-to-mark and end-to-end components
 
-    def vec_of(idx):
-        return pieces[idx][2]
+    tris = sorted(tri_ports)
+    parity = [_index(vec) for _, _, vec in pieces]
 
-    def is_even(idx):
-        return _parity(vec_of(idx)) == (0, 0)
-
-    def prune(tris_left: frozenset, resolved: dict) -> int:
+    def prune(tris_left: int, resolved: dict) -> int:
+        """tris_left has bit t set for each triangle t not yet pruned."""
         if not tris_left:
             return 1
         best = None
-        for t in sorted(tris_left):
+        for t in (t for t in tris if tris_left >> t & 1):
             # even-weight legs join the pair first so their doubling factor
             # is paid exactly once, at their leaf end
             here = sorted(
-                ((not is_even(i), resolved[i][2]), i)
+                ((bool(parity[i]), resolved[i][2]), i)
                 for i in tri_ports[t]
                 if i in resolved and resolved[i][0] == t
             )
@@ -473,25 +466,26 @@ def _prune_component(pieces, signs, rank) -> int:
         (ic,) = rest
         nxt = dict(resolved)
         del nxt[ia], nxt[ib]
+        left = tris_left ^ 1 << t
         out = 0
-        for w, merged in _combine(ca, vec_of(ia), cb, vec_of(ib), vec_of(ic)):
+        for w, merged in _merge(ca, cb, parity[ia], parity[ib], _primitive_index(pieces[ic][2])):
             if ic in resolved:
                 # third leg already carries a class: the vertex is a filter
                 if resolved[ic][1] == merged:
                     follow = dict(nxt)
                     del follow[ic]
-                    out += w * prune(tris_left - {t}, follow)
+                    out += w * prune(left, follow)
                 continue
             a, b, _ = pieces[ic]
             other = b if (a[0] == "tri" and a[1] == t) else a
             if other[0] == "tri":
                 follow = dict(nxt)
                 follow[ic] = (other[1], merged, (1, min(ka, kb)))
-                out += w * prune(tris_left - {t}, follow)
+                out += w * prune(left, follow)
             elif other[0] == "end":
-                out += w * prune(tris_left - {t}, nxt)
+                out += w * prune(left, nxt)
             else:
                 raise IncompatibleGraph("mark on the outflow chain")
         return out
 
-    return prune(frozenset(tri_ports), resolved)
+    return prune(sum(1 << t for t in tris), resolved)

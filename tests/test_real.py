@@ -436,6 +436,25 @@ def test_synthetic_all_odd_triangle():
     signs = {e1: sign_class_of((1, 0), (0, 0)), e2: sign_class_of((0, 1), (0, 0))}
     assert curve_real_multiplicity(G, signs) == 1
     assert _brute_real_multiplicity(G, signs) == 1
+    # Every triangle with a vertex at the origin, the other two in [0, 4]^2
+    # and three legs of odd weight, every pair of marked legs, and every
+    # quadrant sign on each of them: the pruning agrees with the brute force.
+    grid = [(x, y) for x in range(5) for y in range(5)]
+    checked = 0
+    for b, c in itertools.combinations(grid[1:], 2):
+        if b[0] * c[1] - b[1] * c[0] == 0:
+            continue
+        T = LatticePolygon([(0, 0), b, c])
+        legs = [_edge_key(p, q) for p, q in T.sides()]
+        if any(lattice_length(sub(q, p)) % 2 == 0 for p, q in legs):
+            continue
+        for marked in itertools.combinations(legs, 2):
+            G = _tripod_graph(T, marked)
+            for ra, rb in itertools.product(QUADRANTS, repeat=2):
+                signs = {e: sign_class_of(sub(e[1], e[0]), r) for e, r in zip(marked, (ra, rb))}
+                assert curve_real_multiplicity(G, signs) == _brute_real_multiplicity(G, signs)
+                checked += 1
+    assert checked == 4032
 
 
 def test_incompatible_graph_two_ends():
