@@ -9,9 +9,11 @@ of `paths._Context.side_value` refine the multiplicity mu: a signed one
 classes of its two steps, each leaving the merged class) whose total counts
 the real curves among the complex ones, and a sign-free one (`_nu_step`,
 weighing a triangle by its Welschinger sign, 0 when a side is even) whose
-total is a Welschinger-type invariant.  A separate recursion on the marked
-dual graph of a single decoded curve reproduces the per-path signed
-multiplicity and serves as an oracle.
+total is a Welschinger-type invariant.  The oracle for the signed rule,
+`curve_real_multiplicity`, weighs one decoded curve on its marked dual
+graph instead: cut at the marks, the graph falls into trees with one
+boundary end each, and each tree folds from its mark leaves to its end.
+The multiplicities of a path's curves sum to its signed multiplicity.
 
 Inside, a sign class is a nibble, a 4-bit mask with bit 2 * r[0] + r[1] set
 for each of its two quadrant signs r, and a vector's parity or primitive
@@ -295,7 +297,8 @@ def vertex_welschinger_sign(T: LatticePolygon) -> int:
 # -- marked dual graphs -------------------------------------------------------
 
 EdgeKey = tuple[LatticePoint, LatticePoint]
-# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray.
+# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray;
+# a chain cut at a marked edge e also ends at ("mark", e).
 Terminal = tuple
 
 
@@ -331,77 +334,33 @@ class MarkedDualGraph:
         raise KeyError(f"edge {edge} is on no chain")
 
 
-def _one_end_components(G: MarkedDualGraph, marked: set) -> list[dict]:
-    """Cut every chain at its marked edges and group the resulting pieces
-    into connected components.  Each component must be a tree with exactly
-    one boundary end; its description holds the pieces and the mark leaves.
-    """
-    pieces = []  # (terminal_a, terminal_b, edge vector)
+def _pieces(G: MarkedDualGraph, marked: set) -> list[tuple[Terminal, Terminal, LatticePoint]]:
+    """Cut every chain at its marked edges into pieces (terminal, terminal,
+    edge vector); the cut at a marked edge e is the terminal ("mark", e) of
+    the pieces on either side of it."""
+    pieces = []
     for chain in G.chains:
-        cuts = [("mark", e) for e in chain.edges if e in marked]
-        stops = [chain.terminals[0]] + cuts + [chain.terminals[1]]
-        for left, right in zip(stops, stops[1:]):
-            pieces.append((left, right, chain.vector()))
-
-    # union-find over pieces, joined when they share a triangle terminal
-    parent = list(range(len(pieces)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    by_tri: dict[int, list[int]] = {}
-    for idx, (a, b, _) in enumerate(pieces):
-        for t in (a, b):
-            if t[0] == "tri":
-                by_tri.setdefault(t[1], []).append(idx)
-    for group in by_tri.values():
-        for other in group[1:]:
-            ra, rb = find(group[0]), find(other)
-            if ra != rb:
-                parent[rb] = ra
-
-    comps: dict[int, dict] = {}
-    for idx, piece in enumerate(pieces):
-        root = find(idx)
-        comps.setdefault(root, {"pieces": [], "tris": set(), "ends": 0, "marks": 0})
-        c = comps[root]
-        c["pieces"].append(piece)
-        a, b, _ = piece
-        for t in (a, b):
-            if t[0] == "tri":
-                c["tris"].add(t[1])
-            elif t[0] == "end":
-                c["ends"] += 1
-            else:
-                c["marks"] += 1
-    out = []
-    for c in comps.values():
-        nodes = len(c["tris"]) + c["ends"] + c["marks"]
-        if len(c["pieces"]) != nodes - 1:
-            raise IncompatibleGraph("component is not a tree")
-        if c["ends"] != 1:
-            raise IncompatibleGraph(
-                f"component has {c['ends']} ends, expected exactly 1"
-            )
-        out.append(c)
-    return out
+        stops = [chain.terminals[0], *(("mark", e) for e in chain.edges if e in marked),
+                 chain.terminals[1]]
+        pieces += [(a, b, chain.vector()) for a, b in zip(stops, stops[1:])]
+    return pieces
 
 
-def curve_real_multiplicity(
-    G: MarkedDualGraph,
-    signs: Mapping[EdgeKey, SignClass],
-    pair_order: Sequence[EdgeKey] | None = None,
-) -> int:
-    """Signed multiplicity of one marked curve: prune each one-end tree
-    component by repeatedly merging two resolved leaves at a trivalent node,
-    with the weights and branch sums of the class-combination table; the
-    total is the product over components.
+def _far(piece: tuple[Terminal, Terminal, LatticePoint], near: Terminal) -> Terminal:
+    """The terminal of a piece at the other side from near."""
+    return piece[1] if piece[0] == near else piece[0]
 
-    `pair_order` optionally re-ranks the marked edges used for tie-breaking
-    when choosing the next pair; the result must not depend on it.
+
+def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClass]) -> int:
+    """Signed multiplicity of one marked curve.
+
+    The chains cut at their marks must form trees with exactly one boundary
+    end each.  Rooted at its end, every triangle of a tree has two legs
+    below it, so the tree folds from its mark leaves up: a leg carries a
+    distribution {class nibble: weight}, a mark leaf its own class with
+    weight 1, and the legs below a triangle merge by `_merge` into the leg
+    above.  The weights reaching the end sum to the tree's multiplicity;
+    the curve's is the product over its trees.
     """
     marked = set(G.marked)
     if set(signs) != marked:
@@ -409,83 +368,45 @@ def curve_real_multiplicity(
     for e, cls in signs.items():
         if not _is_class_of(sub(e[1], e[0]), frozenset(cls)):
             raise ValueError(f"sign class {set(cls)} does not fit edge {e}")
-    rank: dict[EdgeKey, int] = {e: i for i, e in enumerate(pair_order or sorted(marked))}
-    if set(rank) != marked:
-        raise ValueError("pair_order must list exactly the marked edges")
-
     nibbles = {e: _nibble(cls) for e, cls in signs.items()}
-    total = 1
-    for comp in _one_end_components(G, marked):
-        total *= _prune_component(comp["pieces"], nibbles, rank)
-        if total == 0:
-            return 0
-    return total
-
-
-def _prune_component(pieces, nibbles, rank) -> int:
-    tri_ports: dict[int, list[int]] = {}
-    resolved: dict[int, tuple] = {}  # piece -> (triangle it points at, class nibble, key)
-    for idx, (a, b, vec) in enumerate(pieces):
+    pieces = _pieces(G, marked)
+    legs: dict[int, list[int]] = {}
+    for i, (a, b, _) in enumerate(pieces):
         for t in (a, b):
             if t[0] == "tri":
-                tri_ports.setdefault(t[1], []).append(idx)
-        if a[0] == "mark" and b[0] == "tri":
-            resolved[idx] = (b[1], nibbles[a[1]], (0, rank[a[1]]))
-        elif b[0] == "mark" and a[0] == "tri":
-            resolved[idx] = (a[1], nibbles[b[1]], (0, rank[b[1]]))
-        # mark-to-end pieces carry no constraint; the tree/end census already
-        # rejected mark-to-mark and end-to-end components
+                legs.setdefault(t[1], []).append(i)
+    seen: set[int] = set()
 
-    tris = sorted(tri_ports)
-    parity = [_index(vec) for _, _, vec in pieces]
-
-    def prune(tris_left: int, resolved: dict) -> int:
-        """tris_left has bit t set for each triangle t not yet pruned."""
-        if not tris_left:
-            return 1
-        best = None
-        for t in (t for t in tris if tris_left >> t & 1):
-            # even-weight legs join the pair first so their doubling factor
-            # is paid exactly once, at their leaf end
-            here = sorted(
-                ((bool(parity[i]), resolved[i][2]), i)
-                for i in tri_ports[t]
-                if i in resolved and resolved[i][0] == t
-            )
-            if len(here) >= 2:
-                best = (t, here[0][1], here[1][1])
-                break
-        if best is None:
-            raise IncompatibleGraph("pruning stuck: no trivalent node with two leaves")
-        t, ia, ib = best
-        _, ca, ka = resolved[ia]
-        _, cb, kb = resolved[ib]
-        rest = [i for i in tri_ports[t] if i not in (ia, ib)]
-        if len(rest) != 1:
+    def fold(i: int, far: Terminal) -> dict[int, int]:
+        """The class distribution carried up piece i from its far terminal."""
+        if far[0] == "mark":
+            return {nibbles[far[1]]: 1}
+        if far[0] == "end":
+            raise IncompatibleGraph("component has 2 ends, expected exactly 1")
+        below = list(legs[far[1]])
+        below.remove(i)
+        if len(below) != 2:
             raise IncompatibleGraph("trivalent node without exactly three legs")
-        (ic,) = rest
-        nxt = dict(resolved)
-        del nxt[ia], nxt[ib]
-        left = tris_left ^ 1 << t
-        out = 0
-        for w, merged in _merge(ca, cb, parity[ia], parity[ib], _primitive_index(pieces[ic][2])):
-            if ic in resolved:
-                # third leg already carries a class: the vertex is a filter
-                if resolved[ic][1] == merged:
-                    follow = dict(nxt)
-                    del follow[ic]
-                    out += w * prune(left, follow)
-                continue
-            a, b, _ = pieces[ic]
-            other = b if (a[0] == "tri" and a[1] == t) else a
-            if other[0] == "tri":
-                follow = dict(nxt)
-                follow[ic] = (other[1], merged, (1, min(ka, kb)))
-                out += w * prune(left, follow)
-            elif other[0] == "end":
-                out += w * prune(left, nxt)
-            else:
-                raise IncompatibleGraph("mark on the outflow chain")
+        if seen.intersection(below):
+            raise IncompatibleGraph("component is not a tree")
+        seen.update(below)
+        ja, jb = below
+        da = fold(ja, _far(pieces[ja], far))
+        db = fold(jb, _far(pieces[jb], far))
+        pa, pb = _index(pieces[ja][2]), _index(pieces[jb][2])
+        pm = _primitive_index(pieces[i][2])
+        out: dict[int, int] = {}
+        for ca, wa in da.items():
+            for cb, wb in db.items():
+                for w, c in _merge(ca, cb, pa, pb, pm):
+                    out[c] = out.get(c, 0) + wa * wb * w
         return out
 
-    return prune(sum(1 << t for t in tris), resolved)
+    total = 1
+    for i, piece in enumerate(pieces):
+        if ("end",) in piece[:2]:
+            seen.add(i)
+            total *= sum(fold(i, _far(piece, ("end",))).values())
+    if len(seen) != len(pieces):
+        raise IncompatibleGraph("component has 0 ends, expected exactly 1")
+    return total

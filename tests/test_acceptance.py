@@ -30,7 +30,7 @@ from tropico.paths import (
 )
 from tropico.real import (
     SignedPath,
-    _one_end_components,
+    _pieces,
     curve_real_multiplicity,
     mu_real,
     nu_real_side,
@@ -306,15 +306,43 @@ def test_criterion_10_decode_consistency():
                 for a, b in S.boundary_edges():
                     assert lattice_length(sub(b, a)) == 1
                 G = marked_dual_graph(c)
-                comps = _one_end_components(G, set(G.marked))
-                assert all(comp["ends"] == 1 for comp in comps)
-                assert sum(comp["marks"] for comp in comps) == 2 * len(G.marked)
+                pieces = _pieces(G, set(G.marked))
+                for comp in _components(pieces):
+                    assert sum(t == ("end",) for i in comp for t in pieces[i][:2]) == 1
+                marks = sum(t[0] == "mark" for a, b, _ in pieces for t in (a, b))
+                assert marks == 2 * len(G.marked)
                 curves_seen += 1
     print(
         "criterion 10 PASS: decoded multiplicities sum to mu; every"
         f" subdivision tiles, has s+2g-2 triangles and unit boundary edges;"
         f" all {curves_seen} marked dual graphs split into one-end trees"
     )
+
+
+def _components(pieces):
+    """The indices of the pieces grouped by connectivity: two pieces meet
+    where they share a triangle terminal."""
+    at = {}
+    for i, (a, b, _) in enumerate(pieces):
+        for t in (a, b):
+            if t[0] == "tri":
+                at.setdefault(t, []).append(i)
+    seen, comps = set(), []
+    for i in range(len(pieces)):
+        if i in seen:
+            continue
+        comp, stack = [], [i]
+        seen.add(i)
+        while stack:
+            j = stack.pop()
+            comp.append(j)
+            for t in pieces[j][:2]:
+                for k in at.get(t, ()):
+                    if k not in seen:
+                        seen.add(k)
+                        stack.append(k)
+        comps.append(comp)
+    return comps
 
 
 def _graph_signs(pts, choice):

@@ -307,7 +307,10 @@ def _graph_signs(pts, choice):
     }
 
 
-def _check_case(P, order, g, sign_choices):
+def _check_case(P, order, g, sign_choices, brute=True):
+    """Path/sign pairs checked: the curve-level multiplicities of a path's
+    curves sum to its signed multiplicity, and each one equals the brute
+    force unless brute is False."""
     s, _ = P.counts()
     n = s + g - 1
     checked = 0
@@ -322,7 +325,7 @@ def _check_case(P, order, g, sign_choices):
             for G in graphs:
                 signs = _graph_signs(pts, choice)
                 m = curve_real_multiplicity(G, signs)
-                assert m == _brute_real_multiplicity(G, signs)
+                assert not brute or m == _brute_real_multiplicity(G, signs)
                 via_curves += m
             assert via_curves == expected
             checked += 1
@@ -362,18 +365,31 @@ def test_curve_level_matches_recursion_cubic_sampled():
         assert _check_case(P, DEFAULT, g, sampled) > 0
 
 
-def test_curve_real_multiplicity_pair_order_independent():
-    P = standard_triangle(3)
-    pts = ((0, 3), (0, 2), (0, 1), (1, 2), (1, 1), (1, 0), (2, 1), (2, 0), (3, 0))
-    rng = random.Random(7)
-    for c in decode(P, DEFAULT, pts):
-        G = marked_dual_graph(c)
-        signs = _graph_signs(pts, [(0, 0)] * 8)
-        base = curve_real_multiplicity(G, signs)
-        order = list(G.marked)
-        for _ in range(3):
-            rng.shuffle(order)
-            assert curve_real_multiplicity(G, signs, pair_order=tuple(order)) == base
+def test_curve_level_matches_recursion_quartic_two_class_orders():
+    # Under these orders some triangle of a decoded quartic has two legs
+    # below it that each carry two classes, so the fold must combine every
+    # class of one leg with every class of the other.  The brute force
+    # would take half a minute here.
+    rng = random.Random(20261018)
+
+    def sampled(n):
+        fixed = [tuple([q] * n) for q in QUADRANTS]
+        drawn = [tuple(rng.choice(QUADRANTS) for _ in range(n)) for _ in range(4)]
+        return fixed + drawn
+
+    P = standard_triangle(4)
+    orders = (LinearOrder((-3, 1), (2, 2)), LinearOrder((-1, -3), (3, 3)))
+    assert sum(_check_case(P, o, 1, sampled, brute=False) for o in orders) == 528
+
+
+def test_curve_level_matches_brute_force_quartic():
+    # Every decoded quartic of genus 0 under the default order (358 curves
+    # on 63 paths), with every point's sign ++ and then every point's
+    # sign --.
+    def constant(n):
+        return [((0, 0),) * n, ((1, 1),) * n]
+
+    assert _check_case(standard_triangle(4), DEFAULT, 0, constant) == 126
 
 
 def test_curve_real_multiplicity_validates_signs():
@@ -438,7 +454,7 @@ def test_synthetic_all_odd_triangle():
     assert _brute_real_multiplicity(G, signs) == 1
     # Every triangle with a vertex at the origin, the other two in [0, 4]^2
     # and three legs of odd weight, every pair of marked legs, and every
-    # quadrant sign on each of them: the pruning agrees with the brute force.
+    # quadrant sign on each of them: the fold agrees with the brute force.
     grid = [(x, y) for x in range(5) for y in range(5)]
     checked = 0
     for b, c in itertools.combinations(grid[1:], 2):
@@ -478,3 +494,22 @@ def test_incompatible_graph_cycle():
     G = MarkedDualGraph(triangles=(T1, T2), crossings=(), chains=chains, marked=())
     with pytest.raises(IncompatibleGraph):
         curve_real_multiplicity(G, {})
+
+
+def test_incompatible_graph_no_end_or_two_legs():
+    # A chain marked twice leaves a piece between two marks that reaches no
+    # end; a triangle with two chains is no trivalent node.
+    T = LatticePolygon([(0, 0), (1, 0), (0, 1)])
+    e1, e2 = _edge_key((0, 0), (1, 0)), _edge_key((1, 0), (2, 0))
+    signs = {e: sign_class_of((1, 0), (0, 0)) for e in (e1, e2)}
+    chain = Chain(edges=(e1, e2), terminals=(("end",), ("end",)), weight=1, direction=(0, 1))
+    G = MarkedDualGraph(triangles=(), crossings=(), chains=(chain,), marked=(e1, e2))
+    with pytest.raises(IncompatibleGraph):
+        curve_real_multiplicity(G, signs)
+    chains = tuple(
+        Chain(edges=(e,), terminals=(("tri", 0), ("end",)), weight=1, direction=(0, 1))
+        for e in (e1, e2)
+    )
+    G = MarkedDualGraph(triangles=(T,), crossings=(), chains=chains, marked=(e2,))
+    with pytest.raises(IncompatibleGraph):
+        curve_real_multiplicity(G, {e2: signs[e2]})
