@@ -15,6 +15,7 @@ import os
 import random
 import sys
 import zlib
+from math import comb
 
 from .curves import (
     DegenerateSupport,
@@ -205,15 +206,17 @@ def cmd_paths(args) -> int:
     order = _parse_order(args.order)
     n = _steps_for_genus(P, args.genus)
     _check_jobs(args)
-    # a listing shows the minus side of every path, not only where plus != 0
+    # a listing shows both sides of every path; a summary may leave out the
+    # paths that cannot contribute, so their number comes from the binomial
     rows = list(_path_sides(P, order, n, lazy=not args.list))
+    n_paths = comb(len(P.lattice_points()) - 2, n - 1)
     total = sum(plus * minus for _, plus, minus in rows)
     contributing = sum(1 for _, plus, minus in rows if plus * minus != 0)
     if args.format == "json":
         doc = {
             "polygon": [list(v) for v in P.vertices],
             "genus": args.genus,
-            "n_paths": len(rows),
+            "n_paths": n_paths,
             "contributing": contributing,
             "total": str(total),
         }
@@ -224,7 +227,7 @@ def cmd_paths(args) -> int:
         if args.list:
             _print_per_path_tsv(rows)
         print("n_paths\tcontributing\ttotal")
-        print(f"{len(rows)}\t{contributing}\t{total}")
+        print(f"{n_paths}\t{contributing}\t{total}")
     return 0
 
 

@@ -15,6 +15,13 @@ signed and Welschinger rules.  `decode` walks the same moves and gathers the
 cells, giving the polygon subdivisions dual to the curves a path encodes.
 Every count is a sum over one loop, `_path_sides`.
 
+Every move weighs a positive amount under mu, so a side's mu is positive
+exactly where a chain of moves reaches that side's boundary chain alpha.
+`_unmoves` reads the moves backwards, and `support` grows from alpha the
+paths where mu is positive.  `_path_sides` counts over the support of the
+side with the longer boundary chain, which holds few of the paths, and
+enumerates every path where growing the support would cost more.
+
 Inside the recursion a path is a mask: with the polygon's lattice points
 sorted by the order, bit i is set when the i-th point is on the path.
 Cutting the corner at point b is `m ^ (1 << b)`; the mirror point j lies
@@ -31,6 +38,7 @@ import itertools
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .lattice import (
@@ -183,8 +191,9 @@ class DecodedCurve:
 
 class _Context:
     """Per-(polygon, order) cache: the lattice points in order with their
-    coordinates and turn signs by index, the boundary chains as masks, and
-    one recursion memo per (step rule, side)."""
+    coordinates and turn signs by index, the corners that fit between two
+    points, the boundary chains as masks, and one recursion memo per (step
+    rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         self.p, self.q = extremal_vertices(P, order)
@@ -194,9 +203,13 @@ class _Context:
         self.Y = [y for _, y in self.points]
         self.bit = {pt: 1 << i for i, pt in enumerate(self.points)}
         self.convex = {side: self._convex_rows(want) for side, want in _TURN.items()}
+        self.inner = {side: self._inner_rows(rows) for side, rows in self.convex.items()}
         plus, minus = boundary_chains(P, order)
         self.alpha = {Side.PLUS: self.mask(plus), Side.MINUS: self.mask(minus)}
         self.steps = {Side.PLUS: len(plus) - 1, Side.MINUS: len(minus) - 1}
+        # the side whose boundary chain is longer, plus on a tie: its mu is
+        # nonzero on the fewest paths, so `_path_sides` evaluates it first
+        self.first = Side.MINUS if self.steps[Side.MINUS] > self.steps[Side.PLUS] else Side.PLUS
         self._memos: defaultdict[tuple, dict] = defaultdict(dict)
 
     def _convex_rows(self, want: int) -> list[list[int]]:
@@ -208,8 +221,16 @@ class _Context:
                 if want * ((X[b] - X[a]) * (Y[c] - Y[b]) - (Y[b] - Y[a]) * (X[c] - X[b])) > 0)
             for b in range(a + 1, n)] for a in range(n)]
 
+    def _inner_rows(self, convex: list[list[int]]) -> list[list[int]]:
+        """inner[a][c] has bit b set, for a < b < c, when the corner
+        a -> b -> c is in `convex`: the corners that can be put back
+        between two consecutive path points."""
+        return [[sum(1 << b for b in range(a + 1, c) if convex[a][b] >> c & 1)
+                 for c in range(self.n)] for a in range(self.n)]
+
     def mask(self, path: Sequence[LatticePoint]) -> int:
         return sum(map(self.bit.__getitem__, path))
+
 
     def _moves(self, m: int, side: Side, lo: int = 0):
         """One corner-smoothing step below the path mask `m` on the given side.
@@ -247,6 +268,83 @@ class _Context:
             rest ^= c_bit
             a, b = b, c_bit.bit_length() - 1
         return 0
+
+    def _unmoves(self, m: int, side: Side) -> tuple[list[int], list[int]]:
+        """The masks whose `_moves` on the given side give the path mask `m`:
+        (cut parents, mirror parents).
+
+        A cut parent puts a corner b back between consecutive points a, c
+        of m, so that b becomes the first convex vertex: a -> b -> c turns
+        convexly and the corner before a does not.  A mirror parent puts b
+        = a + d - c in place of the middle point c of consecutive a, c, d,
+        under the same two conditions with d for c.  Vertices before a keep their
+        neighbours, so a runs only up to m's first convex vertex.  Parents
+        shorter than the side's boundary chain, or equal to it, are leaves
+        of `_moves` and are left out.
+        """
+        chain, steps = self.steps[side], m.bit_count() - 1
+        cuts: list[int] = []
+        mirrors: list[int] = []
+        if steps + 1 < chain:
+            return cuts, mirrors
+        convex, inner = self.convex[side], self.inner[side]
+        X, Y, bit = self.X, self.Y, self.bit
+        # `before` has bit b set when the corner before a, ending in b, is
+        # convex: a corner put back at b would leave a the first convex vertex
+        a, before, rest = 0, 0, m ^ 1
+        while rest:
+            c_bit = rest & -rest
+            c = c_bit.bit_length() - 1
+            bs = inner[a][c] & ~before
+            while bs:
+                b_bit = bs & -bs
+                cuts.append(m | b_bit)
+                bs ^= b_bit
+            rest ^= c_bit
+            if rest and steps >= chain:
+                d = (rest & -rest).bit_length() - 1
+                b_bit = bit.get((X[a] + X[d] - X[c], Y[a] + Y[d] - Y[c]))
+                if b_bit is not None and inner[a][d] & b_bit & ~before:
+                    mirrors.append(m ^ c_bit | b_bit)
+            if before & c_bit:
+                break
+            a, before = c, convex[a][c]
+        alpha = self.alpha[side]
+        if steps + 1 == chain and alpha in cuts:
+            cuts.remove(alpha)
+        elif steps == chain and alpha in mirrors:
+            mirrors.remove(alpha)
+        return cuts, mirrors
+
+    def support(self, side: Side, n: int, budget: int) -> set[int] | None:
+        """The n-step path masks whose mu on the given side is positive, or
+        None once growing them costs more than `budget` masks.
+
+        mu is positive exactly where a chain of moves reaches the boundary
+        chain alpha, so the support is grown upward from alpha: level by
+        level through cut parents, and within each level through mirror
+        parents.  The estimate of the cost is the masks grown so far plus
+        the current level's size for each level still to come.
+        """
+        if n < self.steps[side]:
+            return set()
+        level, grown = {self.alpha[side]}, 0
+        for steps in range(self.steps[side], n + 1):
+            left = n - steps + 1
+            todo, up = list(level), set()
+            while todo:
+                cuts, mirrors = self._unmoves(todo.pop(), side)
+                up.update(cuts)
+                for parent in mirrors:
+                    if parent not in level:
+                        level.add(parent)
+                        todo.append(parent)
+                if grown + len(level) * left > budget:
+                    return None
+            if steps == n:
+                return level
+            grown += len(level)
+            level = up
 
     def side_value(self, rule: Callable, m: int, packed: int, side: Side) -> int:
         """One-sided multiplicity of the path mask `m` under a triangle step
@@ -391,31 +489,43 @@ def _path_sides(
     signs_of: Callable[[LatticePath], int] | None = None,
     lazy: bool = True,
 ) -> Iterator[tuple[LatticePath, int, int]]:
-    """(path, plus, minus) for every increasing path with n steps, in
-    enumeration order, under a triangle step rule.  When `lazy`, the minus
-    side is evaluated only where the plus side is nonzero, and reads 0
-    elsewhere.
+    """(path, plus, minus) for increasing paths with n steps, in enumeration
+    order, under a triangle step rule.  The side whose boundary chain is
+    longer (plus on a tie) is evaluated first; when `lazy`, the other side
+    is evaluated only where the first is nonzero, and reads 0 elsewhere.
 
     `signs_of` gives the packed step sign classes of a path for the signed
     rule, which runs only where mu is nonzero on both sides; both sides read
     0 elsewhere.  That loses nothing: every move of mu weighs a positive
     amount, so a side's mu is 0 exactly where no chain of moves reaches its
-    boundary chain, and the signed rule walks the same moves.
+    boundary chain, and the signed and Welschinger rules walk the same
+    moves.  For the same reason a lazy run yields rows only for the paths in
+    the first side's `support`, when growing it costs less than half the
+    paths; otherwise, and when not `lazy`, it yields every path.
     """
     ctx = _context(P, order)
-    value, mask = ctx.side_value, ctx.mask
-    for pts in enumerate_paths(P, order, n):
-        m = mask(pts)
+    value, first = ctx.side_value, ctx.first
+    second = ~first
+    support = ctx.support(first, n, comb(ctx.n - 2, n - 1) // 2) if lazy else None
+    if support is None:
+        rows = ((pts, ctx.mask(pts)) for pts in enumerate_paths(P, order, n))
+    else:
+        # bin(m)[:1:-1] reads the bits from point 0 up.  Among paths with one
+        # step count, sorting these descending gives the enumeration order:
+        # the path holding the lowest point where two differ comes first.
+        rows = ((tuple(itertools.compress(ctx.points, map(int, bits))), m)
+                for bits, m in sorted(((bin(m)[:1:-1], m) for m in support), reverse=True))
+    for pts, m in rows:
         if signs_of is None:
-            plus = value(rule, m, 0, Side.PLUS)
-            minus = value(rule, m, 0, Side.MINUS) if plus or not lazy else 0
-        elif value(_mu_step, m, 0, Side.PLUS) and value(_mu_step, m, 0, Side.MINUS):
+            one = value(rule, m, 0, first)
+            other = value(rule, m, 0, second) if one or not lazy else 0
+        elif value(_mu_step, m, 0, first) and value(_mu_step, m, 0, second):
             packed = signs_of(pts)
-            plus = value(rule, m, packed, Side.PLUS)
-            minus = plus and value(rule, m, packed, Side.MINUS)
+            one = value(rule, m, packed, first)
+            other = one and value(rule, m, packed, second)
         else:
-            plus = minus = 0
-        yield pts, plus, minus
+            one = other = 0
+        yield (pts, one, other) if first is Side.PLUS else (pts, other, one)
 
 
 def count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:

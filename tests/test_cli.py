@@ -128,6 +128,31 @@ def test_paths_summary(capsys):
     assert lines[1] == "78\t33\t225"
 
 
+def test_paths_summary_counts_every_path(capsys):
+    """tri5 at g = 0 counts over the closure of one side, which holds far
+    fewer paths; the summary still reports all of them."""
+    argv = ["paths", "--polygon", '{"vertices": [[0,0],[5,0],[0,5]]}', "--genus", "0"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.strip().splitlines()[1] == "27132\t1432\t109781"
+    code, out, _ = run(argv + ["--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["n_paths"], doc["contributing"], doc["total"]) == (27132, 1432, "109781")
+
+
+def test_paths_list_shows_every_path(capsys):
+    code, out, _ = run(
+        ["paths", "--polygon", '{"vertices": [[0,0],[4,0],[0,4]]}', "--genus", "1", "--list"],
+        capsys,
+    )
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "plus\tminus\tproduct\tpoints"
+    assert len(lines) == 1 + 78 + 2
+    assert lines[-1] == "78\t33\t225"
+
+
 def test_paths_list_json(capsys):
     code, out, _ = run(
         ["paths", "--polygon", D2, "--genus", "0", "--list", "--format", "json"],

@@ -2,7 +2,7 @@
 
 import json
 import random
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from conftest import random_order
@@ -28,9 +28,19 @@ from tropico.paths import (
     mu_side,
     path_to_json,
 )
-from tropico.real import SignedPath, _combine, mu_real_side, nu_real_side, sign_class_of
+from tropico.real import (
+    SignedPath,
+    _combine,
+    _mu_real_step,
+    _nu_step,
+    _step_classes,
+    mu_real_side,
+    nu_real_side,
+    sign_class_of,
+)
 
 DEFAULT = LinearOrder.default()
+CUSP = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
 
 # One fixed genus-0 path on the degree-3 triangle.  The assertions below pin
 # the orientation conventions: which side of the path is "plus", where the
@@ -250,6 +260,83 @@ def test_context_cache_stays_bounded():
         assert paths._context(P, DEFAULT) is ctx
 
 
+# -- the closure: inverse moves and the support grown from alpha ------------
+
+
+def _orders(seed, draws):
+    rng = random.Random(seed)
+    return [DEFAULT] + [random_order(rng) for _ in range(draws)]
+
+
+@pytest.mark.parametrize("P", [standard_triangle(4), grid_rectangle(2, 2), CUSP])
+def test_unmoves_invert_moves(P):
+    """Over every mask, the cut and mirror parents of m are exactly the
+    masks whose `_moves` gives m as `dropped` or `mirrored`."""
+    for order in _orders(f"unmoves|{P.vertices}", 3):
+        ctx = paths._context(P, order)
+        ends = 1 | 1 << (ctx.n - 1)
+        masks = [ends | inner << 1 for inner in range(1 << (ctx.n - 2))]
+        for side in Side:
+            want = {m: ([], []) for m in masks}
+            for M in masks:
+                step = ctx._moves(M, side)
+                if step.__class__ is not int:
+                    _, _, _, dropped, mirrored, _ = step
+                    want[dropped][0].append(M)
+                    if mirrored is not None:
+                        want[mirrored][1].append(M)
+            for m in masks:
+                cuts, mirrors = ctx._unmoves(m, side)
+                assert (sorted(cuts), sorted(mirrors)) == (sorted(want[m][0]), sorted(want[m][1]))
+
+
+@pytest.mark.parametrize("P, genera, draws", [
+    (standard_triangle(4), range(-1, 4), 2),
+    (grid_rectangle(3, 3), (-1, 0), 2),
+    (CUSP, (0,), 3),
+    (standard_triangle(5), (0,), 1),
+])
+def test_support_is_the_nonzero_set(P, genera, draws):
+    """With a budget that never abandons, the support on each side is the
+    set of n-step paths whose mu on that side is positive."""
+    for order in _orders(f"support|{P.vertices}", draws):
+        ctx = paths._context(P, order)
+        for g in genera:
+            n = paths._steps_for_genus(P, g)
+            masks = [ctx.mask(pts) for pts in enumerate_paths(P, order, n)]
+            for side in Side:
+                nonzero = {m for m in masks if ctx.side_value(paths._mu_step, m, 0, side) > 0}
+                assert ctx.support(side, n, 10**18) == nonzero
+
+
+@pytest.mark.parametrize("d, g, closure, total", [(5, 0, True, 109781), (4, 1, False, 225)])
+def test_path_sides_takes_both_branches(d, g, closure, total):
+    """tri5 at g = 0 counts over the closure, tri4 at g = 1 falls back to
+    enumerating every path; both give the reference totals."""
+    P = standard_triangle(d)
+    ctx = paths._context(P, DEFAULT)
+    n = paths._steps_for_genus(P, g)
+    support = ctx.support(ctx.first, n, comb(ctx.n - 2, n - 1) // 2)
+    assert (support is not None) is closure
+    assert count(P, g) == total
+
+
+@pytest.mark.parametrize("P, g", [(standard_triangle(3), -1), (standard_triangle(4), -1)])
+def test_closure_rows_match_enumeration(P, g):
+    """Where the closure is taken, the rows that contribute are those of the
+    full enumeration, in the same order, for the sign-free rules and the
+    signed rule."""
+    n = paths._steps_for_genus(P, g)
+    for order in _orders(f"rows|{P.vertices}", 2):
+        ctx = paths._context(P, order)
+        assert ctx.support(ctx.first, n, comb(ctx.n - 2, n - 1) // 2) is not None
+        signs = _step_classes([(k & 1, k >> 1 & 1) for k in range(n)])
+        for rule, signs_of in ((paths._mu_step, None), (_nu_step, None), (_mu_real_step, signs)):
+            rows = {lazy: [row for row in paths._path_sides(P, order, n, rule, signs_of, lazy)
+                           if row[1] * row[2]] for lazy in (True, False)}
+            assert rows[True] == rows[False]
+
+
 # -- reference recursion: point tuples, no memo, from the definition ---------
 
 
@@ -308,9 +395,6 @@ def _reference_side(P, order, path, side, weight, classes=None):
             classes = classes[: k - 1] + (classes[k], classes[k - 1]) + classes[k + 1 :]
         total += _reference_side(P, order, path[:k] + (mirror,) + path[k + 1 :], side, weight, classes)
     return total
-
-
-CUSP = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
 
 
 @pytest.mark.parametrize("P, g", [
