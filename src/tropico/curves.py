@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 from .lattice import (
     LatticePoint,
     LatticePolygon,
+    _coordinate,
     convex_hull,
     cross,
     lattice_length,
@@ -56,7 +57,7 @@ class TropicalPolynomial:
     def __init__(self, terms: Mapping[LatticePoint, object]):
         items = {}
         for j, a in terms.items():
-            key = (int(j[0]), int(j[1]))
+            key = (_coordinate(j[0]), _coordinate(j[1]))
             items[key] = _as_fraction(a)
         if not items:
             raise ValueError("empty support")
@@ -100,7 +101,7 @@ class TropicalPolynomial:
     def from_json(cls, text: str) -> "TropicalPolynomial":
         data = json.loads(text)
         return cls(
-            {tuple(t["exp"]): Fraction(t["coeff"]) for t in data["terms"]}
+            {tuple(t["exp"]): t["coeff"] for t in data["terms"]}
         )
 
 
@@ -144,48 +145,75 @@ class _Face:
 def _upper_faces(f: TropicalPolynomial) -> list[_Face]:
     """All 2-dimensional upper faces of the hull of lifted support points.
 
-    A plane through three lifted points supports an upper face exactly when
-    every lifted point lies on or below it; enumerating planes over triples
-    and deduplicating by contact set is exact and fast at these sizes.
+    Gift wrapping (Chand-Kapur) in integer arithmetic on the heights of
+    `_scaled_heights`.  The walk starts from the upper edge that leaves the
+    lexicographically first support point along a side of the Newton
+    polygon, and crosses every cell edge once.  Across an edge, the next
+    face lies on the plane through it that has every support point strictly
+    across on or below it, and its contact set is every lifted point on that
+    plane.  A cell side with no point across lies on the Newton polygon's
+    boundary.  Each crossing is one pass over the support, so the hull costs
+    O(faces * n).  Faces are deduplicated by contact set.  The support must
+    span an area.
     """
     heights, scale = _scaled_heights(f)
-    pts = sorted(heights)
-    lifted = [(p[0], p[1], heights[p]) for p in pts]
-    seen: dict[frozenset, _Face] = {}
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                u = tuple(lifted[j][t] - lifted[i][t] for t in range(3))
-                v = tuple(lifted[k][t] - lifted[i][t] for t in range(3))
-                nz = u[0] * v[1] - u[1] * v[0]
-                if nz == 0:
-                    continue
-                nx = u[1] * v[2] - u[2] * v[1]
-                ny = u[2] * v[0] - u[0] * v[2]
-                if nz < 0:
-                    nx, ny, nz = -nx, -ny, -nz
-                c = nx * lifted[i][0] + ny * lifted[i][1] + nz * lifted[i][2]
-                contact = []
-                below = True
-                for q in lifted:
-                    val = nx * q[0] + ny * q[1] + nz * q[2]
-                    if val > c:
-                        below = False
-                        break
-                    if val == c:
-                        contact.append((q[0], q[1]))
-                if not below:
-                    continue
-                key = frozenset(contact)
-                if key not in seen:
-                    seen[key] = _Face(
-                        points=tuple(sorted(contact)),
-                        alpha=Fraction(-nx, nz * scale),
-                        beta=Fraction(-ny, nz * scale),
-                        gamma=Fraction(c, nz * scale),
-                    )
-    return sorted(seen.values(), key=lambda face: face.points)
+    lifted = [(x, y, heights[x, y]) for x, y in sorted(heights)]
+
+    def face_across(a: LatticePoint, b: LatticePoint):
+        """(normal, contact) of the upper face on the right of the cell edge
+        a -> b, or None when no support point lies strictly on its right."""
+        ax, ay, az = a[0], a[1], heights[a]
+        ex, ey, ez = b[0] - ax, b[1] - ay, heights[b] - az
+        normal = None
+        for qx, qy, qz in lifted:
+            ux, uy, uz = qx - ax, qy - ay, qz - az
+            if ex * uy - ey * ux >= 0:
+                continue
+            if normal is None or normal[0] * ux + normal[1] * uy + normal[2] * uz > 0:
+                # the first point across, or one above the plane so far: the
+                # plane through the edge and it, as (q - a) x (b - a), which
+                # points up because q is on the right
+                normal = (uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex)
+        if normal is None:
+            return None
+        nx, ny, nz = normal
+        c = nx * ax + ny * ay + nz * az
+        contact = tuple((x, y) for x, y, z in lifted if nx * x + ny * y + nz * z == c)
+        return (nx, ny, nz, c), contact
+
+    # The first support point is the Newton polygon's first vertex, and every
+    # support point on the line to the next vertex lies on that side.  The
+    # one of steepest lift starts an upper edge, with the polygon on its left.
+    x0, y0, z0 = lifted[0]
+    v1 = convex_hull(heights)[1]
+    d = (v1[0] - x0, v1[1] - y0)
+
+    def slope(q) -> Fraction:
+        return Fraction(q[2] - z0, d[0] * (q[0] - x0) + d[1] * (q[1] - y0))
+
+    top = max((q for q in lifted[1:] if cross(d, (q[0] - x0, q[1] - y0)) == 0), key=slope)
+    faces: dict[tuple[LatticePoint, ...], _Face] = {}
+    crossed: set[EdgeKey] = set()
+    todo = [face_across(top[:2], (x0, y0))]
+    while todo:
+        (nx, ny, nz, c), contact = todo.pop()
+        if contact in faces:
+            continue
+        faces[contact] = _Face(
+            points=contact,
+            alpha=Fraction(-nx, nz * scale),
+            beta=Fraction(-ny, nz * scale),
+            gamma=Fraction(c, nz * scale),
+        )
+        ring = convex_hull(contact)
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            key = _edge_key(a, b)
+            if key not in crossed:
+                crossed.add(key)
+                nxt = face_across(a, b)
+                if nxt is not None:
+                    todo.append(nxt)
+    return sorted(faces.values(), key=lambda face: face.points)
 
 
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
@@ -203,15 +231,25 @@ def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
 
 def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     """Raise each coefficient to the value of the concave hull of the lift
-    over the support.  The curve is unchanged and the result is idempotent."""
+    over the support.  The curve is unchanged and the result is idempotent.
+
+    For a 2-dimensional support, a point on an upper face keeps its own
+    height, and a sunken point takes the value of the face whose cell
+    contains it: the hull is concave, so that is the least of the face
+    planes over the point."""
     dim = _support_dimension(f.support())
     if dim == 0:
         return TropicalPolynomial(f.terms)
     if dim == 2:
         faces = _upper_faces(f)
-        return TropicalPolynomial(
-            {j: min(face.value_at(j) for face in faces) for j in f.terms}
-        )
+        contact = {j for face in faces for j in face.points}
+        new = dict(f.terms)
+        sunken = [j for j in new if j not in contact]
+        if sunken:
+            cells = [LatticePolygon(convex_hull(face.points)) for face in faces]
+            for j in sunken:
+                new[j] = next(face.value_at(j) for face, cell in zip(faces, cells) if cell.contains(j))
+        return TropicalPolynomial(new)
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)
     pts = f.support()
@@ -294,10 +332,9 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
         cells.append(LatticePolygon(convex_hull(face.points)))
         vertices.append((-face.alpha, -face.beta))
     sub_ = DualSubdivision(ambient=f.newton_polygon(), cells=tuple(cells))
-    sub_.validate_tiling()
     bounded = []
     rays = []
-    for (a, b), incident in sorted(sub_.edge_map().items()):
+    for (a, b), incident in sorted(sub_.validate_tiling().items()):
         w = lattice_length(sub(b, a))
         if len(incident) == 2:
             i, j = incident
@@ -368,7 +405,7 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
     each chain ends either at a triangle node or at a boundary end.
     """
     sub_ = D.subdivision
-    sub_.validate_tiling()
+    emap = sub_.validate_tiling()
     if not sub_.is_simple():
         raise NotSimple("decoded subdivision has a cell that is not simple")
     cells = sub_.cells
@@ -382,7 +419,6 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
         else:
             crossings.append(c)
 
-    emap = sub_.edge_map()
     passthrough: dict[tuple[EdgeKey, int], EdgeKey] = {}
     for i, c in enumerate(cells):
         if len(c.vertices) != 4:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
@@ -17,6 +18,13 @@ LatticePoint = tuple[int, int]
 
 class NonInjectiveOrder(ValueError):
     """The linear order assigns the same key to two lattice points of the polygon."""
+
+
+def _coordinate(value) -> int:
+    """An integer lattice coordinate.  A float is refused, not truncated."""
+    if isinstance(value, float):
+        raise TypeError(f"lattice coordinates must be integers, got {value!r}")
+    return int(value)
 
 
 def cross(u: LatticePoint, v: LatticePoint) -> int:
@@ -83,7 +91,7 @@ class LatticePolygon:
     vertices: tuple[LatticePoint, ...]
 
     def __init__(self, vertices: Iterable[LatticePoint]):
-        verts = [(int(x), int(y)) for x, y in vertices]
+        verts = [(_coordinate(x), _coordinate(y)) for x, y in vertices]
         if len(set(verts)) != len(verts):
             raise ValueError("repeated vertex")
         hull = convex_hull(verts)
@@ -97,12 +105,11 @@ class LatticePolygon:
     # -- basic measures ----------------------------------------------------
 
     def double_area(self) -> int:
-        v = self.vertices
-        return sum(cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+        return sum(ax * by - ay * bx for (ax, ay), (bx, by) in self.sides())
 
     def sides(self) -> list[tuple[LatticePoint, LatticePoint]]:
         v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        return list(zip(v, v[1:] + v[:1]))
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
@@ -119,6 +126,22 @@ class LatticePolygon:
 
     def on_boundary(self, pt: LatticePoint) -> bool:
         return self.contains(pt) and not self.strictly_contains(pt)
+
+    @cached_property
+    def side_bits(self) -> dict[LatticePoint, int]:
+        """Every lattice point of the closed polygon, mapped to the sides it
+        lies on: bit i is set when the point is on `sides()[i]`, so interior
+        points map to 0.  Built once per polygon.  A segment between two
+        lattice points lies on the boundary exactly when its ends share a bit."""
+        sides = [(a, sub(b, a)) for a, b in self.sides()]
+        x0, y0, x1, y1 = self.bounding_box()
+        out: dict[LatticePoint, int] = {}
+        for y in range(y0, y1 + 1):
+            for x in range(x0, x1 + 1):
+                turns = [cross(d, (x - a[0], y - a[1])) for a, d in sides]
+                if min(turns) >= 0:
+                    out[(x, y)] = sum(1 << i for i, t in enumerate(turns) if t == 0)
+        return out
 
     # -- lattice point enumeration -------------------------------------------
 

@@ -105,15 +105,12 @@ def _edge_key(a: LatticePoint, b: LatticePoint) -> tuple[LatticePoint, LatticePo
 def _ambient_side(
     P: LatticePolygon, a: LatticePoint, b: LatticePoint
 ) -> tuple[LatticePoint, LatticePoint] | None:
-    """The side (s0, s1) of P that contains the segment a-b, or None."""
-    for s0, s1 in P.sides():
-        d = sub(s1, s0)
-        if cross(d, sub(a, s0)) == 0 and cross(d, sub(b, s0)) == 0:
-            lo = [min(s0[i], s1[i]) for i in (0, 1)]
-            hi = [max(s0[i], s1[i]) for i in (0, 1)]
-            if all(lo[i] <= a[i] <= hi[i] and lo[i] <= b[i] <= hi[i] for i in (0, 1)):
-                return s0, s1
-    return None
+    """The side (s0, s1) of P that contains the segment a-b between two
+    lattice points, or None: the first side both ends lie on."""
+    shared = P.side_bits.get(a, 0) & P.side_bits.get(b, 0)
+    if not shared:
+        return None
+    return P.sides()[(shared & -shared).bit_length() - 1]
 
 
 @dataclass(frozen=True)
@@ -147,23 +144,30 @@ class DualSubdivision:
     def boundary_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
         return sorted(e for e, cs in self.edge_map().items() if len(cs) == 1)
 
-    def validate_tiling(self) -> None:
+    def validate_tiling(self) -> dict[tuple[LatticePoint, LatticePoint], list[int]]:
         """Raise MalformedSubdivision unless the cells tile the ambient polygon
         edge-to-edge (area match, every edge shared by two cells or lying on
-        the ambient boundary)."""
+        the ambient boundary); return the edge map it checked.
+
+        Lookups go through the ambient's `side_bits`, built once per polygon:
+        an edge is on the boundary when both ends lie on one side, and a cell
+        is inside when its vertices are lattice points of the ambient."""
         if sum(c.double_area() for c in self.cells) != self.ambient.double_area():
             raise MalformedSubdivision("cell areas do not add up to the ambient area")
-        for (a, b), cs in self.edge_map().items():
+        edges = self.edge_map()
+        bits = self.ambient.side_bits
+        for (a, b), cs in edges.items():
             if len(cs) > 2:
                 raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            on_boundary = _ambient_side(self.ambient, a, b) is not None
+            on_boundary = bits.get(a, 0) & bits.get(b, 0)
             if len(cs) == 1 and not on_boundary:
                 raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
             if len(cs) == 2 and on_boundary:
                 raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
         for c in self.cells:
-            if not all(self.ambient.contains(v) for v in c.vertices):
+            if not all(v in bits for v in c.vertices):
                 raise MalformedSubdivision("cell sticks out of the ambient polygon")
+        return edges
 
     def to_json_dict(self) -> dict:
         return {"cells": [{"vertices": [list(v) for v in c.vertices]} for c in self.cells]}

@@ -233,11 +233,18 @@ def test_exit_code_2_malformed_inputs(capsys):
         ["real-count", "--polygon", D2, "--genus", "0", "--signs", "++,--"],
         ["count", "--polygon", D2, "--genus", "0", "--jobs", "0"],
         ["count", "--polygon", D2, "--genus", "0", "--jobs", "many"],
+        # inexact JSON numbers are refused, not truncated or rounded
+        ["count", "--polygon", '{"vertices": [[0,0],[3.9,0],[0,3]]}', "--genus", "0"],
+        ["curve", "--poly", '{"terms": [{"exp": [0.5,0], "coeff": "1"}, '
+         '{"exp": [1,0], "coeff": "3"}, {"exp": [0,1], "coeff": "5"}]}'],
+        ["curve", "--poly", '{"terms": [{"exp": [1,0], "coeff": 0.1}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
     ]
     for argv in bad:
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert err
+        assert out == "", argv
 
 
 def test_exit_code_2_usage_errors(capsys):

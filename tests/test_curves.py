@@ -9,6 +9,7 @@ from conftest import all_near_curve, grid_tie_points, random_concave, run_grid_o
 from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
+    convex_hull,
     grid_rectangle,
     standard_triangle,
     toric_degree,
@@ -20,6 +21,10 @@ from tropico.curves import (
     ParallelDirections,
     PlaneTropicalCurve,
     TropicalPolynomial,
+    _Face,
+    _scaled_heights,
+    _support_dimension,
+    _upper_faces,
     canonicalize,
     check_balancing,
     curve_of,
@@ -66,6 +71,16 @@ def test_polynomial_exactness():
     assert f.terms[(0, 0)] == Fraction(3, 4)
     with pytest.raises(ValueError):
         TropicalPolynomial({})
+    # exponents are lattice points: a float is refused, not truncated
+    with pytest.raises(TypeError, match="must be integers, got 0.5"):
+        TropicalPolynomial({(0.5, 0): 1, (1, 0): 3, (0, 1): 5})
+    # a JSON float coefficient meets the same check as a Python float,
+    # rather than becoming Fraction(0.1) = 3602879701896397/36028797018963968
+    text = '{"terms": [{"exp": [1,0], "coeff": 0.1}, {"exp": [0,0], "coeff": "1"}]}'
+    with pytest.raises(TypeError, match="coefficients must be exact"):
+        TropicalPolynomial.from_json(text)
+    exact = TropicalPolynomial.from_json(text.replace("0.1", '"0.1"'))
+    assert exact.terms[(1, 0)] == Fraction(1, 10)
 
 
 def test_polynomial_json_roundtrip():
@@ -138,6 +153,101 @@ def test_genus_of_simple_requires_simple():
     D = dual_subdivision(TropicalPolynomial({j: 0 for j in pentagon}))
     with pytest.raises(NotSimple):
         genus_of_simple(D)
+
+
+def _reference_upper_faces(f):
+    """The upper faces by brute force: a plane through three lifted points
+    supports an upper face exactly when every lifted point lies on or below
+    it.  O(n^4); the reference for the gift wrapping in `_upper_faces`."""
+    heights, scale = _scaled_heights(f)
+    pts = sorted(heights)
+    lifted = [(p[0], p[1], heights[p]) for p in pts]
+    seen = {}
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                u = tuple(lifted[j][t] - lifted[i][t] for t in range(3))
+                v = tuple(lifted[k][t] - lifted[i][t] for t in range(3))
+                nz = u[0] * v[1] - u[1] * v[0]
+                if nz == 0:
+                    continue
+                nx = u[1] * v[2] - u[2] * v[1]
+                ny = u[2] * v[0] - u[0] * v[2]
+                if nz < 0:
+                    nx, ny, nz = -nx, -ny, -nz
+                c = nx * lifted[i][0] + ny * lifted[i][1] + nz * lifted[i][2]
+                contact = []
+                below = True
+                for q in lifted:
+                    val = nx * q[0] + ny * q[1] + nz * q[2]
+                    if val > c:
+                        below = False
+                        break
+                    if val == c:
+                        contact.append((q[0], q[1]))
+                if not below:
+                    continue
+                key = frozenset(contact)
+                if key not in seen:
+                    seen[key] = _Face(
+                        points=tuple(sorted(contact)),
+                        alpha=Fraction(-nx, nz * scale),
+                        beta=Fraction(-ny, nz * scale),
+                        gamma=Fraction(c, nz * scale),
+                    )
+    return sorted(seen.values(), key=lambda face: face.points)
+
+
+_HULL_POLYGONS = (
+    [standard_triangle(d) for d in range(1, 8)]
+    + [grid_rectangle(d, d) for d in range(1, 5)]
+    + [LatticePolygon([(0, 0), (1, 0), (2, 2), (0, 1)])]  # the cusp quadrilateral
+)
+
+
+def _hull_lifts(P, rng):
+    """Seeded coefficient draws on P's lattice points, one of each kind."""
+    pts = P.lattice_points()
+    yield "generic", random_concave(P, rng)
+    # small integers tie often: parallelograms and larger cells
+    yield "ties", TropicalPolynomial({j: rng.randint(-2, 0) for j in pts})
+    # a sparse support: the points left out make side midpoints of the
+    # cells, and the low heights sink points below the hull
+    kept = [j for j in pts if rng.random() < 0.6]
+    if len(kept) >= 3 and _support_dimension(kept) == 2:
+        yield "sparse", TropicalPolynomial(
+            {j: Fraction(rng.randint(-12, 3), rng.randint(1, 3)) for j in kept}
+        )
+    height = Fraction(rng.randint(-3, 3), 4)
+    yield "flat", TropicalPolynomial({j: height for j in pts})
+
+
+def test_upper_faces_match_triple_enumeration():
+    rng = random.Random(20261018)
+    seen = {"generic": 0, "ties": 0, "sparse": 0, "flat": 0}
+    sunken = mid_side = larger_cells = 0
+    for P in _HULL_POLYGONS:
+        for _ in range(2):
+            for kind, f in _hull_lifts(P, rng):
+                faces = _upper_faces(f)
+                reference = _reference_upper_faces(f)
+                assert faces == reference, (kind, P.vertices)
+                assert canonicalize(f) == TropicalPolynomial(
+                    {j: min(face.value_at(j) for face in reference) for j in f.terms}
+                ), (kind, P.vertices)
+                seen[kind] += 1
+                contact = {j for face in faces for j in face.points}
+                cells = [LatticePolygon(convex_hull(face.points)) for face in faces]
+                if kind == "sparse":
+                    sunken += len(f.terms) - len(contact)
+                    mid_side += sum(c.on_boundary(j) and j not in c.vertices
+                                    for face, c in zip(faces, cells) for j in face.points)
+                if kind == "ties":
+                    larger_cells += sum(len(c.vertices) > 3 for c in cells)
+    assert min(seen.values()) >= 18, seen
+    # the draws reach every case the walk has to get right
+    assert sunken and mid_side and larger_cells
 
 
 # -- canonical coefficients --------------------------------------------------------

@@ -70,6 +70,8 @@ def test_polygon_rejects_bad_input():
         LatticePolygon([(0, 0), (3, 0), (0, 3), (1, 1)])  # interior point
     with pytest.raises(ValueError):
         LatticePolygon([(0, 0), (0, 0), (1, 0)])
+    with pytest.raises(TypeError, match="must be integers, got 3.9"):
+        LatticePolygon([(0, 0), (3.9, 0), (0, 3)])  # not truncated to 3
 
 
 def test_area_and_counts():
@@ -93,6 +95,8 @@ def test_picks_identity(pts):
     P = LatticePolygon(hull)
     s, l = P.counts()
     assert P.double_area() == 2 * l + s - 2
+    assert sorted(P.side_bits) == sorted(P.lattice_points())
+    assert {p for p, bits in P.side_bits.items() if bits} == set(P.boundary_lattice_points())
 
 
 def test_membership():
@@ -103,6 +107,11 @@ def test_membership():
     assert sorted(P.lattice_points()) == [
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
     ]
+    # sides (0,0)-(2,0), (2,0)-(0,2), (0,2)-(0,0) are bits 1, 2, 4
+    assert P.side_bits == {
+        (0, 0): 5, (1, 0): 1, (2, 0): 3, (1, 1): 2, (0, 2): 6, (0, 1): 4,
+    }
+    assert standard_triangle(3).side_bits[(1, 1)] == 0
 
 
 def test_boundary_lattice_points_cyclic():

@@ -216,6 +216,41 @@ def test_subdivision_validation_rejects_garbage():
         DualSubdivision(square, (t1, big)).validate_tiling()
 
 
+def test_subdivision_validation_names_each_fault():
+    # tri2's sides carry lattice points in their middles, so a cell edge can
+    # join two boundary points without lying on the boundary
+    P = standard_triangle(2)
+    t1 = LatticePolygon([(0, 0), (1, 0), (0, 1)])
+    t2 = LatticePolygon([(1, 0), (2, 0), (1, 1)])
+    t3 = LatticePolygon([(0, 1), (1, 1), (0, 2)])
+    t4 = LatticePolygon([(1, 0), (1, 1), (0, 1)])  # every edge joins two sides
+    outside = LatticePolygon([(2, 1), (3, 1), (2, 2)])
+    assert set(DualSubdivision(P, (t1, t2, t3, t4)).validate_tiling()) == {
+        ((0, 0), (1, 0)), ((1, 0), (2, 0)), ((1, 1), (2, 0)), ((0, 2), (1, 1)),
+        ((0, 1), (0, 2)), ((0, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (1, 1)),
+        ((0, 1), (1, 1)),
+    }
+    faults = [
+        ((t1, t2, t3), "cell areas do not add up to the ambient area"),
+        ((t1, t1, t1, t4), r"edge \(0, 0\)-\(1, 0\) belongs to 3 cells"),
+        ((t1, t1, t4, t4), r"boundary edge \(0, 0\)-\(1, 0\) has two cells"),
+        # (0,1) and (1,0) are on different sides: the edge is interior
+        ((t1, t2, t3, t3), r"interior edge \(0, 1\)-\(1, 0\) has only one cell"),
+        # every edge is in two cells, but the doubled cell outside is not in P
+        ((t4, t4, outside, outside), "cell sticks out of the ambient polygon"),
+    ]
+    for cells, message in faults:
+        with pytest.raises(MalformedSubdivision, match=message):
+            DualSubdivision(P, cells).validate_tiling()
+    # rect2's fan around its interior point (1,1), one triangle doubled
+    R = grid_rectangle(2, 2)
+    fan = [LatticePolygon([a, b, (1, 1)])
+           for a, b in (((0, 0), (2, 0)), ((2, 0), (2, 2)), ((2, 2), (0, 2)), ((0, 2), (0, 0)))]
+    DualSubdivision(R, tuple(fan)).validate_tiling()
+    with pytest.raises(MalformedSubdivision, match=r"interior edge \(0, 0\)-\(1, 1\) has only one cell"):
+        DualSubdivision(R, tuple(fan[:3]) + (fan[2],)).validate_tiling()
+
+
 def test_ambiguous_polygon_order_counts():
     # A support whose extremes depend on the order: the count does not.
     P = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
