@@ -234,9 +234,8 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     over the support.  The curve is unchanged and the result is idempotent.
 
     For a 2-dimensional support, a point on an upper face keeps its own
-    height, and a sunken point takes the value of the face whose cell
-    contains it: the hull is concave, so that is the least of the face
-    planes over the point."""
+    height, and a sunken point takes the least of the face planes over it,
+    which is the concave hull's value there."""
     dim = _support_dimension(f.support())
     if dim == 0:
         return TropicalPolynomial(f.terms)
@@ -244,11 +243,9 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
         faces = _upper_faces(f)
         contact = {j for face in faces for j in face.points}
         new = dict(f.terms)
-        sunken = [j for j in new if j not in contact]
-        if sunken:
-            cells = [LatticePolygon(convex_hull(face.points)) for face in faces]
-            for j in sunken:
-                new[j] = next(face.value_at(j) for face, cell in zip(faces, cells) if cell.contains(j))
+        for j in new:
+            if j not in contact:
+                new[j] = min(face.value_at(j) for face in faces)
         return TropicalPolynomial(new)
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)

@@ -105,11 +105,12 @@ class LatticePolygon:
     # -- basic measures ----------------------------------------------------
 
     def double_area(self) -> int:
-        return sum(ax * by - ay * bx for (ax, ay), (bx, by) in self.sides())
+        v = self.vertices
+        return sum(cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
 
     def sides(self) -> list[tuple[LatticePoint, LatticePoint]]:
         v = self.vertices
-        return list(zip(v, v[1:] + v[:1]))
+        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
@@ -128,20 +129,27 @@ class LatticePolygon:
         return self.contains(pt) and not self.strictly_contains(pt)
 
     @cached_property
-    def side_bits(self) -> dict[LatticePoint, int]:
-        """Every lattice point of the closed polygon, mapped to the sides it
-        lies on: bit i is set when the point is on `sides()[i]`, so interior
-        points map to 0.  Built once per polygon.  A segment between two
-        lattice points lies on the boundary exactly when its ends share a bit."""
-        sides = [(a, sub(b, a)) for a, b in self.sides()]
-        x0, y0, x1, y1 = self.bounding_box()
-        out: dict[LatticePoint, int] = {}
-        for y in range(y0, y1 + 1):
-            for x in range(x0, x1 + 1):
-                turns = [cross(d, (x - a[0], y - a[1])) for a, d in sides]
-                if min(turns) >= 0:
-                    out[(x, y)] = sum(1 << i for i, t in enumerate(turns) if t == 0)
-        return out
+    def _side_bits_seen(self) -> dict[LatticePoint, int | None]:
+        return {}
+
+    def side_bits(self, pt: LatticePoint) -> int | None:
+        """The sides of the closed polygon that `pt` lies on: bit i is set
+        when pt is on `sides()[i]`, so an interior point gives 0 and a point
+        outside gives None.  A segment between two points of the polygon lies
+        on the boundary exactly when its ends share a bit.  Each point costs
+        one cross product per side, once per polygon."""
+        seen = self._side_bits_seen
+        if pt not in seen:
+            bits = 0
+            for i, (a, b) in enumerate(self.sides()):
+                turn = cross(sub(b, a), sub(pt, a))
+                if turn < 0:
+                    bits = None
+                    break
+                if turn == 0:
+                    bits |= 1 << i
+            seen[pt] = bits
+        return seen[pt]
 
     # -- lattice point enumeration -------------------------------------------
 

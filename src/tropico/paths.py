@@ -107,7 +107,7 @@ def _ambient_side(
 ) -> tuple[LatticePoint, LatticePoint] | None:
     """The side (s0, s1) of P that contains the segment a-b between two
     lattice points, or None: the first side both ends lie on."""
-    shared = P.side_bits.get(a, 0) & P.side_bits.get(b, 0)
+    shared = (P.side_bits(a) or 0) & (P.side_bits(b) or 0)
     if not shared:
         return None
     return P.sides()[(shared & -shared).bit_length() - 1]
@@ -149,23 +149,22 @@ class DualSubdivision:
         edge-to-edge (area match, every edge shared by two cells or lying on
         the ambient boundary); return the edge map it checked.
 
-        Lookups go through the ambient's `side_bits`, built once per polygon:
-        an edge is on the boundary when both ends lie on one side, and a cell
-        is inside when its vertices are lattice points of the ambient."""
+        Each cell vertex is looked up once in the ambient's `side_bits`: an
+        edge is on the boundary when both ends lie on one side, and a cell is
+        inside when none of its vertices is outside."""
         if sum(c.double_area() for c in self.cells) != self.ambient.double_area():
             raise MalformedSubdivision("cell areas do not add up to the ambient area")
         edges = self.edge_map()
-        bits = self.ambient.side_bits
         for (a, b), cs in edges.items():
             if len(cs) > 2:
                 raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            on_boundary = bits.get(a, 0) & bits.get(b, 0)
+            on_boundary = _ambient_side(self.ambient, a, b) is not None
             if len(cs) == 1 and not on_boundary:
                 raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
             if len(cs) == 2 and on_boundary:
                 raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
         for c in self.cells:
-            if not all(v in bits for v in c.vertices):
+            if any(self.ambient.side_bits(v) is None for v in c.vertices):
                 raise MalformedSubdivision("cell sticks out of the ambient polygon")
         return edges
 

@@ -318,6 +318,23 @@ def test_square_support_curve():
     assert check_balancing(C)
 
 
+def test_sparse_support_of_large_degree():
+    # the curve layer works on the support and the sides, never on every
+    # lattice point of the Newton polygon
+    n = 10**6
+    f = TropicalPolynomial({(n, 0): 0, (0, n): 0, (0, 0): 0, (1, 1): n, (n // 2, 0): -1})
+    sub_ = dual_subdivision(f)
+    assert sorted(c.vertices for c in sub_.cells) == [
+        ((0, 0), (1, 1), (0, n)),
+        ((0, 0), (n, 0), (1, 1)),
+        ((0, n), (1, 1), (n, 0)),
+    ]
+    C = curve_of(f)
+    assert check_balancing(C)
+    assert sorted(w for _, _, w in C.rays) == [n, n, n]
+    assert canonicalize(f).terms[(n // 2, 0)] == 0
+
+
 def test_curve_vertices_maximize_their_cells():
     rng = random.Random(23)
     f = random_concave(standard_triangle(3), rng)

@@ -95,8 +95,10 @@ def test_picks_identity(pts):
     P = LatticePolygon(hull)
     s, l = P.counts()
     assert P.double_area() == 2 * l + s - 2
-    assert sorted(P.side_bits) == sorted(P.lattice_points())
-    assert {p for p, bits in P.side_bits.items() if bits} == set(P.boundary_lattice_points())
+    x0, y0, x1, y1 = P.bounding_box()
+    box = [(x, y) for x in range(x0 - 1, x1 + 2) for y in range(y0 - 1, y1 + 2)]
+    assert sorted(p for p in box if P.side_bits(p) is not None) == sorted(P.lattice_points())
+    assert {p for p in box if P.side_bits(p)} == set(P.boundary_lattice_points())
 
 
 def test_membership():
@@ -108,10 +110,14 @@ def test_membership():
         (0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0),
     ]
     # sides (0,0)-(2,0), (2,0)-(0,2), (0,2)-(0,0) are bits 1, 2, 4
-    assert P.side_bits == {
+    assert {p: P.side_bits(p) for p in P.lattice_points()} == {
         (0, 0): 5, (1, 0): 1, (2, 0): 3, (1, 1): 2, (0, 2): 6, (0, 1): 4,
     }
-    assert standard_triangle(3).side_bits[(1, 1)] == 0
+    assert P.side_bits((2, 1)) is None
+    assert standard_triangle(3).side_bits((1, 1)) == 0
+    # looked up per point, so the polygon's area does not matter
+    big = standard_triangle(10**9)
+    assert big.side_bits((10**9, 0)) == 3 and big.side_bits((1, 1)) == 0
 
 
 def test_boundary_lattice_points_cyclic():
