@@ -37,7 +37,7 @@ from .paths import InvalidGenus, _mu_step, _path_sides, _steps_for_genus, count,
 from .real import _mu_real_step, _nu_step, _step_classes, welschinger_count
 
 SIGN_TOKENS = {"++": (0, 0), "+-": (0, 1), "-+": (1, 0), "--": (1, 1)}
-TABLE_CEILING = {"projective": 4, "bidegree": 3}
+TABLE_CEILING = {"projective": 5, "bidegree": 3}
 _JOBS_HELP = ("worker count (or TROPICO_JOBS), a positive integer; accepted for "
               "compatibility and selects nothing: counting runs in one process")
 

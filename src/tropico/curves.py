@@ -99,10 +99,18 @@ class TropicalPolynomial:
 
     @classmethod
     def from_json(cls, text: str) -> "TropicalPolynomial":
-        data = json.loads(text)
-        return cls(
-            {tuple(t["exp"]): t["coeff"] for t in data["terms"]}
-        )
+        """The polynomial of `to_json`'s form.  Each exponent must have two
+        coordinates and appear once: ValueError otherwise."""
+        terms: dict[LatticePoint, object] = {}
+        for t in json.loads(text)["terms"]:
+            exp = t["exp"]
+            if len(exp) != 2:
+                raise ValueError(f"an exponent has two coordinates, got {exp!r}")
+            j = (_coordinate(exp[0]), _coordinate(exp[1]))
+            if j in terms:
+                raise ValueError(f"repeated exponent {list(j)}")
+            terms[j] = t["coeff"]
+        return cls(terms)
 
 
 def _support_dimension(points: Sequence[LatticePoint]) -> int:

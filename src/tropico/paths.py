@@ -22,6 +22,18 @@ paths where mu is positive.  `_path_sides` counts over the support of the
 side with the longer boundary chain, which holds few of the paths, and
 enumerates every path where growing the support would cost more.
 
+No move cuts or mirrors a corner that lies on alpha.  P is convex and lies
+on one side of alpha, so at a path point b on alpha the path's neighbours a,
+c, which come before and after b in the order, lie no farther out than
+alpha's own edges at b, and the corner a -> b -> c turns away from the
+side's region or runs straight.  A move drops only its corner, so the points
+where a path meets alpha stay on it all the way down, and the moves between
+two of them neither see nor change anything beyond them.  A chain of moves
+reaches alpha exactly when its moves on every stretch between two such
+points take that stretch to alpha's, so a side value is the product over
+the path's excursions away from alpha, each evaluated as the mask that
+follows the path there and alpha everywhere else.
+
 Inside the recursion a path is a mask: with the polygon's lattice points
 sorted by the order, bit i is set when the i-th point is on the path.
 Cutting the corner at point b is `m ^ (1 << b)`; the mirror point j lies
@@ -359,15 +371,31 @@ class _Context:
         classes, 0 for the sign-free rules.  The parallelogram move weighs 1
         and swaps the classes of the two corner steps.
         """
-        memo = self._memos[rule, side]
-        val = memo.get(m | packed << self.n)
-        return self._value(rule, memo, m, packed, side, 0) if val is None else val
+        return self._value(rule, self._memos[rule, side], m, packed, side, 0)
 
     def _value(self, rule: Callable, memo: dict, m: int, packed: int, side: Side, lo: int) -> int:
+        """`side_value` with the scan of `_moves` starting at point `lo`.
+
+        A mask that meets alpha between two points where it differs from
+        alpha is the product of its excursions (`_excursions`) and is not
+        memoised itself, so the memo holds single excursions only.  The
+        product is exact (see the module docstring): no corner on alpha
+        ever moves, so the chains of moves of the whole mask that reach
+        alpha are exactly the tuples of chains, one per excursion, that each
+        reach alpha, and a chain weighs the product of its moves' weights.
+        Under the signed rule a move weighs by the classes of its own two
+        steps, which lie in its excursion, and alpha weighs 1 whatever its
+        classes.
+        """
         key = m | packed << self.n
         val = memo.get(key)
         if val is not None:
             return val
+        alpha = self.alpha[side]
+        diff = m ^ alpha
+        # m meets alpha between the lowest and highest points where they differ
+        if m & alpha & -(diff & -diff) & ((1 << diff.bit_length()) - 1):
+            return self._excursions(rule, memo, m, packed, side)
         step = self._moves(m, side, lo)
         if step.__class__ is int:
             val = step
@@ -383,6 +411,41 @@ class _Context:
                     packed ^= x << s | x << (s + 4)
                 val += self._value(rule, memo, mirrored, packed, side, lo)
         memo[key] = val
+        return val
+
+    def _excursions(self, rule: Callable, memo: dict, m: int, packed: int, side: Side) -> int:
+        """The product of the values of m's excursions away from alpha.
+
+        Between two consecutive points f < g where m meets alpha, m and
+        alpha run apart over the points strictly between, R.  The
+        excursion is the mask that follows m on R and alpha elsewhere,
+        with m's step classes on R moved to the excursion's own steps and
+        class 0 on the alpha steps.
+        """
+        alpha = self.alpha[side]
+        touch, diff, val = m & alpha, m ^ alpha, 1
+        while diff:
+            low = diff & -diff
+            f = (touch & (low - 1)).bit_length() - 1
+            above = touch & -low
+            R = (above & -above) - (2 << f)
+            diff &= ~R
+            ours = m & R
+            # fewer steps than alpha's stretch: no chain of moves gets there
+            if ours.bit_count() < (alpha & R).bit_count():
+                return 0
+            if packed:
+                below = (1 << f) - 1
+                classes = packed >> 4 * (m & below).bit_count() & ((16 << 4 * ours.bit_count()) - 1)
+                packed_ex = classes << 4 * (alpha & below).bit_count()
+            else:
+                packed_ex = 0
+            # nothing before f is convex: the excursion's scan starts there
+            ex = ours | alpha & ~R
+            got = memo.get(ex | packed_ex << self.n)
+            val *= self._value(rule, memo, ex, packed_ex, side, f) if got is None else got
+            if not val:
+                return 0
         return val
 
 

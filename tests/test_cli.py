@@ -190,10 +190,21 @@ def test_table_bidegree_json(capsys):
     assert cells[1] == ["0", "1"]
 
 
+def test_table_projective_degree_five(capsys):
+    code, out, _ = run(["table", "--dmax", "5"], capsys)
+    assert code == 0
+    rows = [line.split("\t") for line in out.strip().splitlines()]
+    assert rows[0] == ["g", "d1", "d2", "d3", "d4", "d5"]
+    assert [int(r[0]) for r in rows[1:]] == list(range(-1, 7))
+    assert [int(r[5]) for r in rows[1:]] == [65949, 109781, 90027, 36975, 7915, 882, 48, 1]
+
+
 def test_table_ceiling(capsys):
-    code, _, err = run(["table", "--family", "bidegree", "--dmax", "4"], capsys)
-    assert code == 2
-    assert "out of range" in err
+    for family, dmax in (("bidegree", "4"), ("projective", "6")):
+        code, out, err = run(["table", "--family", family, "--dmax", dmax], capsys)
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
 
 
 def test_curve_json_and_svg(tmp_path, capsys):
@@ -238,6 +249,13 @@ def test_exit_code_2_malformed_inputs(capsys):
         ["curve", "--poly", '{"terms": [{"exp": [0.5,0], "coeff": "1"}, '
          '{"exp": [1,0], "coeff": "3"}, {"exp": [0,1], "coeff": "5"}]}'],
         ["curve", "--poly", '{"terms": [{"exp": [1,0], "coeff": 0.1}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
+        # an exponent is a pair, given once
+        ["curve", "--poly", '{"terms": [{"exp": [1], "coeff": "3"}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
+        ["curve", "--poly", '{"terms": [{"exp": [1,0,7], "coeff": "3"}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
+        ["curve", "--poly", '{"terms": [{"exp": [1,0], "coeff": "3"}, {"exp": [1,0], "coeff": "-9"}, '
          '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
     ]
     for argv in bad:

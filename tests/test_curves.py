@@ -81,6 +81,14 @@ def test_polynomial_exactness():
         TropicalPolynomial.from_json(text)
     exact = TropicalPolynomial.from_json(text.replace("0.1", '"0.1"'))
     assert exact.terms[(1, 0)] == Fraction(1, 10)
+    # an exponent is a pair, given once: no coordinate is dropped and no
+    # coefficient overwritten
+    line = '{"terms": [{"exp": [1,0], "coeff": "3"}, {"exp": [0,1], "coeff": "5"}]}'
+    for exp, message in (("[1]", r"two coordinates, got \[1\]"),
+                         ("[1, 0, 7]", r"two coordinates, got \[1, 0, 7\]"),
+                         ("[0,1]", r"repeated exponent \[0, 1\]")):
+        with pytest.raises(ValueError, match=message):
+            TropicalPolynomial.from_json(line.replace("[1,0]", exp))
 
 
 def test_polynomial_json_roundtrip():

@@ -1,5 +1,6 @@
 """Increasing lattice paths, their multiplicities and decoded curves."""
 
+import itertools
 import json
 import random
 from math import comb, gcd
@@ -14,6 +15,7 @@ from tropico.lattice import (
     boundary_chains,
     grid_rectangle,
     standard_triangle,
+    sub,
 )
 from tropico.paths import (
     DualSubdivision,
@@ -32,6 +34,7 @@ from tropico.real import (
     SignedPath,
     _combine,
     _mu_real_step,
+    _pack,
     _nu_step,
     _step_classes,
     mu_real_side,
@@ -454,3 +457,54 @@ def test_side_values_match_reference_recursion(P, g):
                     P, order, pts, side, _welschinger_weight)
                 assert mu_real_side(P, order, signed, side) == _reference_side(
                     P, order, pts, side, _signed_weight, classes)
+
+
+# -- the split at the points where a path meets its side's boundary chain ----
+
+
+def _excursions(m, alpha):
+    """The number of stretches between consecutive common points of the
+    masks m and alpha over which they run apart."""
+    touch = [i for i in range(m.bit_length()) if m & alpha >> i & 1]
+    return sum(1 for f, g in zip(touch, touch[1:]) if (m | alpha) >> (f + 1) & ((1 << (g - f - 1)) - 1))
+
+
+@pytest.mark.parametrize("P", [standard_triangle(4), grid_rectangle(3, 3), CUSP])
+def test_side_values_split_at_the_boundary_chain(P):
+    """No move cuts or mirrors a corner on the side's boundary chain alpha,
+    so the moves on either side of a point where a path meets alpha never
+    interact, and a side value is the product over the path's excursions
+    away from alpha.  Over every mask, under four orders: the corners, and
+    on masks with two excursions or more, every step rule against the
+    reference recursion, the signed rule with a random quadrant sign per
+    step."""
+    rng = random.Random(f"split|{P.vertices}")
+    split = nonzero = 0
+    for order in _orders(f"split|{P.vertices}", 3):
+        ctx = paths._context(P, order)
+        ends = 1 | 1 << (ctx.n - 1)
+        masks = [ends | inner << 1 for inner in range(1 << (ctx.n - 2))]
+        for side in Side:
+            alpha = ctx.alpha[side]
+            found = {False: [], True: []}
+            for m in masks:
+                step = ctx._moves(m, side)
+                if step.__class__ is not int:
+                    assert not (m ^ step[3]) & alpha
+                if _excursions(m, alpha) >= 2:
+                    found[ctx.side_value(paths._mu_step, m, 0, side) > 0].append(m)
+            split += len(found[False]) + len(found[True])
+            nonzero += len(found[True])
+            zero = found[False][:: 1 + len(found[False]) // 5]
+            for m in rng.sample(found[True], min(10, len(found[True]))) + zero:
+                pts = tuple(itertools.compress(ctx.points, map(int, bin(m)[:1:-1])))
+                classes = tuple(sign_class_of(sub(b, a), (rng.randint(0, 1), rng.randint(0, 1)))
+                                for a, b in zip(pts, pts[1:]))
+                for rule, weight in ((paths._mu_step, _area_weight),
+                                     (_nu_step, _welschinger_weight)):
+                    assert ctx.side_value(rule, m, 0, side) == _reference_side(
+                        P, order, pts, side, weight)
+                assert ctx.side_value(_mu_real_step, m, _pack(classes), side) == _reference_side(
+                    P, order, pts, side, _signed_weight, classes)
+    # the cusp's paths are too short to leave alpha twice with mu > 0
+    assert split and (nonzero or P is CUSP)
