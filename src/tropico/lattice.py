@@ -8,6 +8,7 @@ lexicographic pairs of linear forms.  No floats anywhere.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
@@ -21,10 +22,15 @@ class NonInjectiveOrder(ValueError):
 
 
 def _coordinate(value) -> int:
-    """An integer lattice coordinate.  A float is refused, not truncated."""
-    if isinstance(value, float):
-        raise TypeError(f"lattice coordinates must be integers, got {value!r}")
-    return int(value)
+    """An integer lattice coordinate.  Only integers are taken, through
+    `operator.index`: a float, a string or a bool is refused, not
+    converted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"lattice coordinates must be integers, got {value!r}")
 
 
 def cross(u: LatticePoint, v: LatticePoint) -> int:

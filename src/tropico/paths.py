@@ -13,26 +13,25 @@ under a triangle step rule.  The parallelogram move always weighs 1.  The
 rule here, `_mu_step`, weighs a triangle by its doubled area; `real` adds the
 signed and Welschinger rules.  `decode` walks the same moves and gathers the
 cells, giving the polygon subdivisions dual to the curves a path encodes.
-Every count is a sum over one loop, `_path_sides`.
 
-Every move weighs a positive amount under mu, so a side's mu is positive
-exactly where a chain of moves reaches that side's boundary chain alpha.
-`_unmoves` reads the moves backwards, and `support` grows from alpha the
-paths where mu is positive.  `_path_sides` counts over the support of the
-side with the longer boundary chain, which holds few of the paths, and
-enumerates every path where growing the support would cost more.
+No move cuts or mirrors a corner that lies on alpha, the side's boundary
+chain.  P is convex and lies on one side of alpha, so at a path point b on
+alpha the path's neighbours a, c, which come before and after b in the
+order, lie no farther out than alpha's own edges at b, and the corner
+a -> b -> c turns away from the side's region or runs straight.  A move
+drops only its corner, so the points where a path meets alpha stay on it
+all the way down, and the moves between two of them neither see nor change
+anything beyond them.  A chain of moves reaches alpha exactly when its
+moves on every stretch between two such points take that stretch to
+alpha's, so a side value is the product over the path's excursions away
+from alpha, each evaluated as the mask that follows the path there and
+alpha everywhere else.
 
-No move cuts or mirrors a corner that lies on alpha.  P is convex and lies
-on one side of alpha, so at a path point b on alpha the path's neighbours a,
-c, which come before and after b in the order, lie no farther out than
-alpha's own edges at b, and the corner a -> b -> c turns away from the
-side's region or runs straight.  A move drops only its corner, so the points
-where a path meets alpha stay on it all the way down, and the moves between
-two of them neither see nor change anything beyond them.  A chain of moves
-reaches alpha exactly when its moves on every stretch between two such
-points take that stretch to alpha's, so a side value is the product over
-the path's excursions away from alpha, each evaluated as the mask that
-follows the path there and alpha everywhere else.
+Every count is a sum over one depth-first walk, `_Context.walk`, which adds
+a path's points in order and multiplies each side's excursions as the path
+closes them at alpha.  A prefix whose product is 0 on a side is 0 on every
+path that extends it, so the walk drops it with all of them: under mu, most
+paths never get built.
 
 Inside the recursion a path is a mask: with the polygon's lattice points
 sorted by the order, bit i is set when the i-th point is on the path.
@@ -50,7 +49,6 @@ import itertools
 import json
 from collections import defaultdict
 from dataclasses import dataclass
-from math import comb
 from typing import Callable, Iterator, Sequence
 
 from .lattice import (
@@ -206,9 +204,8 @@ class DecodedCurve:
 
 class _Context:
     """Per-(polygon, order) cache: the lattice points in order with their
-    coordinates and turn signs by index, the corners that fit between two
-    points, the boundary chains as masks, and one recursion memo per (step
-    rule, side)."""
+    coordinates and turn signs by index, the boundary chains as masks, and
+    one recursion memo per (step rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         self.p, self.q = extremal_vertices(P, order)
@@ -218,13 +215,9 @@ class _Context:
         self.Y = [y for _, y in self.points]
         self.bit = {pt: 1 << i for i, pt in enumerate(self.points)}
         self.convex = {side: self._convex_rows(want) for side, want in _TURN.items()}
-        self.inner = {side: self._inner_rows(rows) for side, rows in self.convex.items()}
-        plus, minus = boundary_chains(P, order)
-        self.alpha = {Side.PLUS: self.mask(plus), Side.MINUS: self.mask(minus)}
-        self.steps = {Side.PLUS: len(plus) - 1, Side.MINUS: len(minus) - 1}
-        # the side whose boundary chain is longer, plus on a tie: its mu is
-        # nonzero on the fewest paths, so `_path_sides` evaluates it first
-        self.first = Side.MINUS if self.steps[Side.MINUS] > self.steps[Side.PLUS] else Side.PLUS
+        chains = zip((Side.PLUS, Side.MINUS), boundary_chains(P, order))
+        self.alpha = {side: sum(map(self.bit.__getitem__, chain)) for side, chain in chains}
+        self.steps = {side: alpha.bit_count() - 1 for side, alpha in self.alpha.items()}
         self._memos: defaultdict[tuple, dict] = defaultdict(dict)
 
     def _convex_rows(self, want: int) -> list[list[int]]:
@@ -235,17 +228,6 @@ class _Context:
             sum(1 << c for c in range(b + 1, n)
                 if want * ((X[b] - X[a]) * (Y[c] - Y[b]) - (Y[b] - Y[a]) * (X[c] - X[b])) > 0)
             for b in range(a + 1, n)] for a in range(n)]
-
-    def _inner_rows(self, convex: list[list[int]]) -> list[list[int]]:
-        """inner[a][c] has bit b set, for a < b < c, when the corner
-        a -> b -> c is in `convex`: the corners that can be put back
-        between two consecutive path points."""
-        return [[sum(1 << b for b in range(a + 1, c) if convex[a][b] >> c & 1)
-                 for c in range(self.n)] for a in range(self.n)]
-
-    def mask(self, path: Sequence[LatticePoint]) -> int:
-        return sum(map(self.bit.__getitem__, path))
-
 
     def _moves(self, m: int, side: Side, lo: int = 0):
         """One corner-smoothing step below the path mask `m` on the given side.
@@ -283,83 +265,6 @@ class _Context:
             rest ^= c_bit
             a, b = b, c_bit.bit_length() - 1
         return 0
-
-    def _unmoves(self, m: int, side: Side) -> tuple[list[int], list[int]]:
-        """The masks whose `_moves` on the given side give the path mask `m`:
-        (cut parents, mirror parents).
-
-        A cut parent puts a corner b back between consecutive points a, c
-        of m, so that b becomes the first convex vertex: a -> b -> c turns
-        convexly and the corner before a does not.  A mirror parent puts b
-        = a + d - c in place of the middle point c of consecutive a, c, d,
-        under the same two conditions with d for c.  Vertices before a keep their
-        neighbours, so a runs only up to m's first convex vertex.  Parents
-        shorter than the side's boundary chain, or equal to it, are leaves
-        of `_moves` and are left out.
-        """
-        chain, steps = self.steps[side], m.bit_count() - 1
-        cuts: list[int] = []
-        mirrors: list[int] = []
-        if steps + 1 < chain:
-            return cuts, mirrors
-        convex, inner = self.convex[side], self.inner[side]
-        X, Y, bit = self.X, self.Y, self.bit
-        # `before` has bit b set when the corner before a, ending in b, is
-        # convex: a corner put back at b would leave a the first convex vertex
-        a, before, rest = 0, 0, m ^ 1
-        while rest:
-            c_bit = rest & -rest
-            c = c_bit.bit_length() - 1
-            bs = inner[a][c] & ~before
-            while bs:
-                b_bit = bs & -bs
-                cuts.append(m | b_bit)
-                bs ^= b_bit
-            rest ^= c_bit
-            if rest and steps >= chain:
-                d = (rest & -rest).bit_length() - 1
-                b_bit = bit.get((X[a] + X[d] - X[c], Y[a] + Y[d] - Y[c]))
-                if b_bit is not None and inner[a][d] & b_bit & ~before:
-                    mirrors.append(m ^ c_bit | b_bit)
-            if before & c_bit:
-                break
-            a, before = c, convex[a][c]
-        alpha = self.alpha[side]
-        if steps + 1 == chain and alpha in cuts:
-            cuts.remove(alpha)
-        elif steps == chain and alpha in mirrors:
-            mirrors.remove(alpha)
-        return cuts, mirrors
-
-    def support(self, side: Side, n: int, budget: int) -> set[int] | None:
-        """The n-step path masks whose mu on the given side is positive, or
-        None once growing them costs more than `budget` masks.
-
-        mu is positive exactly where a chain of moves reaches the boundary
-        chain alpha, so the support is grown upward from alpha: level by
-        level through cut parents, and within each level through mirror
-        parents.  The estimate of the cost is the masks grown so far plus
-        the current level's size for each level still to come.
-        """
-        if n < self.steps[side]:
-            return set()
-        level, grown = {self.alpha[side]}, 0
-        for steps in range(self.steps[side], n + 1):
-            left = n - steps + 1
-            todo, up = list(level), set()
-            while todo:
-                cuts, mirrors = self._unmoves(todo.pop(), side)
-                up.update(cuts)
-                for parent in mirrors:
-                    if parent not in level:
-                        level.add(parent)
-                        todo.append(parent)
-                if grown + len(level) * left > budget:
-                    return None
-            if steps == n:
-                return level
-            grown += len(level)
-            level = up
 
     def side_value(self, rule: Callable, m: int, packed: int, side: Side) -> int:
         """One-sided multiplicity of the path mask `m` under a triangle step
@@ -431,22 +336,85 @@ class _Context:
             R = (above & -above) - (2 << f)
             diff &= ~R
             ours = m & R
-            # fewer steps than alpha's stretch: no chain of moves gets there
-            if ours.bit_count() < (alpha & R).bit_count():
-                return 0
             if packed:
                 below = (1 << f) - 1
                 classes = packed >> 4 * (m & below).bit_count() & ((16 << 4 * ours.bit_count()) - 1)
                 packed_ex = classes << 4 * (alpha & below).bit_count()
             else:
                 packed_ex = 0
-            # nothing before f is convex: the excursion's scan starts there
-            ex = ours | alpha & ~R
-            got = memo.get(ex | packed_ex << self.n)
-            val *= self._value(rule, memo, ex, packed_ex, side, f) if got is None else got
+            got = memo.get(ours | alpha & ~R | packed_ex << self.n)
+            val *= self._excursion(rule, memo, ours, R, packed_ex, side, f) if got is None else got
             if not val:
                 return 0
         return val
+
+    def _excursion(self, rule: Callable, memo: dict, ours: int, R: int, packed: int,
+                   side: Side, f: int) -> int:
+        """The value of one excursion that is not in the memo: R holds the
+        points strictly between f and the next point where the path meets
+        alpha, `ours` the path's points among them, and `packed` the
+        excursion's own step classes.  The excursion follows `ours` on R and
+        alpha elsewhere, so its memo key, which callers look up first to
+        save this call, is `ours | alpha & ~R | packed << n`."""
+        alpha = self.alpha[side]
+        # fewer steps than alpha's stretch: no chain of moves gets there
+        if ours.bit_count() < (alpha & R).bit_count():
+            return 0
+        # nothing before f is convex: the excursion's scan starts there
+        return self._value(rule, memo, ours | alpha & ~R, packed, side, f)
+
+    def walk(self, rule: Callable, n: int, lazy: bool = True) -> Iterator[tuple[int, int, int]]:
+        """(mask, plus, minus) for the increasing paths with n steps, in
+        enumeration order, under a sign-free triangle step rule.
+
+        The walk is depth first and adds a path's points in ascending order,
+        so paths come out as `itertools.combinations` gives their inner
+        points.  For each side it carries the last point f where the path
+        met alpha and the product of the excursions closed so far.  Reaching
+        a point of alpha closes the stretch since f (`_excursion`).  When
+        `lazy`, a prefix is dropped with every path below it once its
+        product on either side is 0, or once it has fewer steps left than
+        alpha has after f: each stretch needs at least alpha's steps.  So a
+        lazy walk yields exactly the paths whose value is nonzero on both
+        sides; otherwise it yields every path.
+        """
+        q = self.n - 1
+        alpha_p, alpha_m = self.alpha[Side.PLUS], self.alpha[Side.MINUS]
+        memo_p, memo_m = self._memos[rule, Side.PLUS], self._memos[rule, Side.MINUS]
+        excursion = self._excursion
+        # (last point, steps, mask, then f and product for plus and minus)
+        stack = [(0, 0, 1, 0, 1, 0, 1)]
+        while stack:
+            j, k, m, f_p, v_p, f_m, v_m = stack.pop()
+            if j == q:
+                yield m, v_p, v_m
+                continue
+            k += 1
+            # children in descending order, so the stack pops them ascending;
+            # each leaves room for the n - k - 1 inner points after it, and
+            # the last step goes to q, which is on both chains
+            for c in range(q - n + k, j, -1) if k < n else (q,):
+                bit = 1 << c
+                g_p, w_p, g_m, w_m = f_p, v_p, f_m, v_m
+                if alpha_p & bit:
+                    R = bit - (2 << f_p)
+                    ours = m & R
+                    if w_p and (ours or alpha_p & R):
+                        x = memo_p.get(ours | alpha_p & ~R)
+                        w_p *= excursion(rule, memo_p, ours, R, 0, Side.PLUS, f_p) if x is None else x
+                    if lazy and (not w_p or n - k < (alpha_p >> c).bit_count() - 1):
+                        continue
+                    g_p = c
+                if alpha_m & bit:
+                    R = bit - (2 << f_m)
+                    ours = m & R
+                    if w_m and (ours or alpha_m & R):
+                        x = memo_m.get(ours | alpha_m & ~R)
+                        w_m *= excursion(rule, memo_m, ours, R, 0, Side.MINUS, f_m) if x is None else x
+                    if lazy and (not w_m or n - k < (alpha_m >> c).bit_count() - 1):
+                        continue
+                    g_m = c
+                stack.append((c, k, m | bit, g_p, w_p, g_m, w_m))
 
 
 def _mu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
@@ -556,52 +524,42 @@ def _path_sides(
     lazy: bool = True,
 ) -> Iterator[tuple[LatticePath, int, int]]:
     """(path, plus, minus) for increasing paths with n steps, in enumeration
-    order, under a triangle step rule.  The side whose boundary chain is
-    longer (plus on a tie) is evaluated first; when `lazy`, the other side
-    is evaluated only where the first is nonzero, and reads 0 elsewhere.
+    order, under a triangle step rule: the rows of `_Context.walk`, which
+    when `lazy` are only the paths whose value is nonzero on both sides.
 
     `signs_of` gives the packed step sign classes of a path for the signed
-    rule, which runs only where mu is nonzero on both sides; both sides read
-    0 elsewhere.  That loses nothing: every move of mu weighs a positive
-    amount, so a side's mu is 0 exactly where no chain of moves reaches its
-    boundary chain, and the signed and Welschinger rules walk the same
-    moves.  For the same reason a lazy run yields rows only for the paths in
-    the first side's `support`, when growing it costs less than half the
-    paths; otherwise, and when not `lazy`, it yields every path.
+    rule, which runs only on the rows of a walk under mu, and on the minus
+    side only where the plus side is nonzero; a side it skips reads 0.
+    That loses nothing: every move of mu weighs a positive amount, so a
+    side's mu is 0 exactly where no chain of moves reaches its boundary
+    chain, and the signed rule walks the same moves.
     """
     ctx = _context(P, order)
-    value, first = ctx.side_value, ctx.first
-    second = ~first
-    support = ctx.support(first, n, comb(ctx.n - 2, n - 1) // 2) if lazy else None
-    if support is None:
-        rows = ((pts, ctx.mask(pts)) for pts in enumerate_paths(P, order, n))
-    else:
-        # bin(m)[:1:-1] reads the bits from point 0 up.  Among paths with one
-        # step count, sorting these descending gives the enumeration order:
-        # the path holding the lowest point where two differ comes first.
-        rows = ((tuple(itertools.compress(ctx.points, map(int, bits))), m)
-                for bits, m in sorted(((bin(m)[:1:-1], m) for m in support), reverse=True))
-    for pts, m in rows:
-        if signs_of is None:
-            one = value(rule, m, 0, first)
-            other = value(rule, m, 0, second) if one or not lazy else 0
-        elif value(_mu_step, m, 0, first) and value(_mu_step, m, 0, second):
+    value, points = ctx.side_value, ctx.points
+    for m, plus, minus in ctx.walk(rule if signs_of is None else _mu_step, n, lazy):
+        # bin(m)[:1:-1] reads the bits from point 0 up
+        pts = tuple(itertools.compress(points, map(int, bin(m)[:1:-1])))
+        if signs_of is not None:
             packed = signs_of(pts)
-            one = value(rule, m, packed, first)
-            other = one and value(rule, m, packed, second)
-        else:
-            one = other = 0
-        yield (pts, one, other) if first is Side.PLUS else (pts, other, one)
+            plus = value(rule, m, packed, Side.PLUS)
+            minus = plus and value(rule, m, packed, Side.MINUS)
+        yield pts, plus, minus
+
+
+def _total(P: LatticePolygon, g: int, order: LinearOrder | None, rule: Callable) -> int:
+    """The sum of plus * minus under a sign-free step rule over the paths
+    of genus g, from the masks of the walk."""
+    if order is None:
+        order = LinearOrder.default()
+    walk = _context(P, order).walk(rule, _steps_for_genus(P, g))
+    return sum(plus * minus for _, plus, minus in walk)
 
 
 def count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     """Number of genus-g curves of degree P through a generic point
     configuration, counted with multiplicity: the sum of mu over all paths
     with s + g - 1 steps.  The result does not depend on the order."""
-    if order is None:
-        order = LinearOrder.default()
-    rows = _path_sides(P, order, _steps_for_genus(P, g))
-    return sum(plus * minus for _, plus, minus in rows)
+    return _total(P, g, order, _mu_step)
 
 
 def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> tuple[DecodedCurve, ...]:

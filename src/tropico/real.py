@@ -35,7 +35,7 @@ from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .lattice import LatticePoint, LatticePolygon, LinearOrder, cross, sub
-from .paths import LatticePath, Side, _check_path, _context, _path_sides, _steps_for_genus
+from .paths import LatticePath, Side, _check_path, _context, _path_sides, _steps_for_genus, _total
 
 # A sign class: the two quadrant signs from Z2 x Z2 that a curve edge cannot
 # tell apart.
@@ -277,10 +277,7 @@ def real_signed_count(
 def welschinger_count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     """Welschinger-type signed count of real genus-g curves: the sum of
     nu_plus * nu_minus over all paths.  Order-independent for g = 0."""
-    if order is None:
-        order = LinearOrder.default()
-    rows = _path_sides(P, order, _steps_for_genus(P, g), _nu_step)
-    return sum(plus * minus for _, plus, minus in rows)
+    return _total(P, g, order, _nu_step)
 
 
 def vertex_welschinger_sign(T: LatticePolygon) -> int:

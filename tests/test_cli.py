@@ -250,6 +250,12 @@ def test_exit_code_2_malformed_inputs(capsys):
          '{"exp": [1,0], "coeff": "3"}, {"exp": [0,1], "coeff": "5"}]}'],
         ["curve", "--poly", '{"terms": [{"exp": [1,0], "coeff": 0.1}, '
          '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
+        # so are strings and booleans, which would otherwise read as 3 and 1
+        ["count", "--polygon", '{"vertices": [[0,0],["3",0],[0,true]]}', "--genus", "0"],
+        ["curve", "--poly", '{"terms": [{"exp": [true,"0"], "coeff": "3"}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
+        ["curve", "--poly", '{"terms": [{"exp": [1,"0"], "coeff": "3"}, '
+         '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],
         # an exponent is a pair, given once
         ["curve", "--poly", '{"terms": [{"exp": [1], "coeff": "3"}, '
          '{"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'],

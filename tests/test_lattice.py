@@ -72,6 +72,11 @@ def test_polygon_rejects_bad_input():
         LatticePolygon([(0, 0), (0, 0), (1, 0)])
     with pytest.raises(TypeError, match="must be integers, got 3.9"):
         LatticePolygon([(0, 0), (3.9, 0), (0, 3)])  # not truncated to 3
+    # neither is a string or a bool read as the integer it spells
+    with pytest.raises(TypeError, match="must be integers, got '3'"):
+        LatticePolygon([(0, 0), ("3", 0), (0, 3)])
+    with pytest.raises(TypeError, match="must be integers, got True"):
+        LatticePolygon([(0, 0), (3, 0), (0, True)])
 
 
 def test_area_and_counts():

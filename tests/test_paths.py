@@ -3,7 +3,7 @@
 import itertools
 import json
 import random
-from math import comb, gcd
+from math import gcd
 
 import pytest
 from conftest import random_order
@@ -141,6 +141,32 @@ def test_counts_match_node_polynomial_at_one_node():
         s, l = P.counts()
         expected = 3 * P.double_area() - 2 * s + len(P.vertices)
         assert count(P, l - 1) == expected
+
+
+def test_counts_match_kleiman_piene_node_polynomials():
+    """Plane curves of degree d with delta nodes through the right number of
+    generic points: the node polynomials of Kleiman and Piene ("Enumerating
+    singular curves on surfaces", 1999) for delta <= 3, which hold for
+    d >= delta / 2 + 1 (Fomin and Mikhalkin, "Labeled floor diagrams for
+    plane curves", 2010).  Such a curve has genus (d - 1)(d - 2) / 2 - delta,
+    negative where it is reducible."""
+    polynomials = {
+        1: lambda d: 3 * (d - 1) ** 2,
+        2: lambda d: 3 * (d - 1) * (d - 2) * (3 * d * d - 3 * d - 11) // 2,
+        3: lambda d: (9 * d**6 - 54 * d**5 + 9 * d**4 + 423 * d**3 - 458 * d**2 - 829 * d
+                      + 1050) // 2,
+    }
+    cells = 0
+    for delta, node_polynomial in polynomials.items():
+        for d in range(2, 7):
+            if 2 * d >= delta + 2:
+                g = (d - 1) * (d - 2) // 2 - delta
+                assert count(standard_triangle(d), g) == node_polynomial(d), (d, delta)
+                cells += 1
+    assert cells == 14
+    # the cells quoted with the polynomials
+    assert count(standard_triangle(3), -2) == 15
+    assert [count(standard_triangle(6), g) for g in (7, 8, 9)] == [41310, 2370, 75]
 
 
 def test_count_is_order_independent():
@@ -298,7 +324,7 @@ def test_context_cache_stays_bounded():
         assert paths._context(P, DEFAULT) is ctx
 
 
-# -- the closure: inverse moves and the support grown from alpha ------------
+# -- the walk: every path's rows, in enumeration order ----------------------
 
 
 def _orders(seed, draws):
@@ -306,73 +332,55 @@ def _orders(seed, draws):
     return [DEFAULT] + [random_order(rng) for _ in range(draws)]
 
 
-@pytest.mark.parametrize("P", [standard_triangle(4), grid_rectangle(2, 2), CUSP])
-def test_unmoves_invert_moves(P):
-    """Over every mask, the cut and mirror parents of m are exactly the
-    masks whose `_moves` gives m as `dropped` or `mirrored`."""
-    for order in _orders(f"unmoves|{P.vertices}", 3):
-        ctx = paths._context(P, order)
-        ends = 1 | 1 << (ctx.n - 1)
-        masks = [ends | inner << 1 for inner in range(1 << (ctx.n - 2))]
-        for side in Side:
-            want = {m: ([], []) for m in masks}
-            for M in masks:
-                step = ctx._moves(M, side)
-                if step.__class__ is not int:
-                    _, _, _, dropped, mirrored, _ = step
-                    want[dropped][0].append(M)
-                    if mirrored is not None:
-                        want[mirrored][1].append(M)
-            for m in masks:
-                cuts, mirrors = ctx._unmoves(m, side)
-                assert (sorted(cuts), sorted(mirrors)) == (sorted(want[m][0]), sorted(want[m][1]))
+def _reference_rows(P, order, n, rule, signs_of=None):
+    """(path, plus, minus) for every path with n steps, each side value
+    evaluated on its own."""
+    ctx = paths._context(P, order)
+    rows = []
+    for pts in enumerate_paths(P, order, n):
+        m = paths._check_path(ctx, pts)
+        packed = 0 if signs_of is None else signs_of(pts)
+        rows.append((pts, ctx.side_value(rule, m, packed, Side.PLUS),
+                     ctx.side_value(rule, m, packed, Side.MINUS)))
+    return rows
 
 
-@pytest.mark.parametrize("P, genera, draws", [
-    (standard_triangle(4), range(-1, 4), 2),
-    (grid_rectangle(3, 3), (-1, 0), 2),
-    (CUSP, (0,), 3),
-    (standard_triangle(5), (0,), 1),
+@pytest.mark.parametrize("P, genera", [
+    (standard_triangle(3), range(-2, 2)),
+    (standard_triangle(4), range(-1, 4)),
+    (grid_rectangle(3, 3), range(-1, 5)),
+    (CUSP, (0, 1)),
 ])
-def test_support_is_the_nonzero_set(P, genera, draws):
-    """With a budget that never abandons, the support on each side is the
-    set of n-step paths whose mu on that side is positive."""
-    for order in _orders(f"support|{P.vertices}", draws):
-        ctx = paths._context(P, order)
+def test_walk_rows_match_enumeration(P, genera):
+    """Against a plain loop over `enumerate_paths`, under three orders: the
+    lazy walk yields exactly the rows whose product is nonzero, in the same
+    order, under mu and under nu; under the signed rule it yields the paths
+    where mu is nonzero on both sides, and the same rows whose product is
+    nonzero.  The walk without pruning yields every row of the loop."""
+    rng = random.Random(f"walk|{P.vertices}")
+    for order in _orders(f"walk|{P.vertices}", 2):
         for g in genera:
             n = paths._steps_for_genus(P, g)
-            masks = [ctx.mask(pts) for pts in enumerate_paths(P, order, n)]
-            for side in Side:
-                nonzero = {m for m in masks if ctx.side_value(paths._mu_step, m, 0, side) > 0}
-                assert ctx.support(side, n, 10**18) == nonzero
+            for rule in (paths._mu_step, _nu_step):
+                want = _reference_rows(P, order, n, rule)
+                assert list(paths._path_sides(P, order, n, rule, lazy=False)) == want
+                nonzero = [row for row in want if row[1] * row[2]]
+                assert list(paths._path_sides(P, order, n, rule)) == nonzero
+                if rule is paths._mu_step:
+                    mu_paths = [row[0] for row in nonzero]
+            signs = _step_classes([(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)])
+            rows = list(paths._path_sides(P, order, n, _mu_real_step, signs))
+            assert [row[0] for row in rows] == mu_paths
+            want = _reference_rows(P, order, n, _mu_real_step, signs)
+            assert [row for row in rows if row[1] * row[2]] == [row for row in want if row[1] * row[2]]
 
 
-@pytest.mark.parametrize("d, g, closure, total", [(5, 0, True, 109781), (4, 1, False, 225)])
-def test_path_sides_takes_both_branches(d, g, closure, total):
-    """tri5 at g = 0 counts over the closure, tri4 at g = 1 falls back to
-    enumerating every path; both give the reference totals."""
-    P = standard_triangle(d)
-    ctx = paths._context(P, DEFAULT)
-    n = paths._steps_for_genus(P, g)
-    support = ctx.support(ctx.first, n, comb(ctx.n - 2, n - 1) // 2)
-    assert (support is not None) is closure
-    assert count(P, g) == total
-
-
-@pytest.mark.parametrize("P, g", [(standard_triangle(3), -1), (standard_triangle(4), -1)])
-def test_closure_rows_match_enumeration(P, g):
-    """Where the closure is taken, the rows that contribute are those of the
-    full enumeration, in the same order, for the sign-free rules and the
-    signed rule."""
-    n = paths._steps_for_genus(P, g)
-    for order in _orders(f"rows|{P.vertices}", 2):
-        ctx = paths._context(P, order)
-        assert ctx.support(ctx.first, n, comb(ctx.n - 2, n - 1) // 2) is not None
-        signs = _step_classes([(k & 1, k >> 1 & 1) for k in range(n)])
-        for rule, signs_of in ((paths._mu_step, None), (_nu_step, None), (_mu_real_step, signs)):
-            rows = {lazy: [row for row in paths._path_sides(P, order, n, rule, signs_of, lazy)
-                           if row[1] * row[2]] for lazy in (True, False)}
-            assert rows[True] == rows[False]
+def test_walk_counts_rect4_genus_zero():
+    """rect4 at g = 0, 817,190 paths, under the default order and a random
+    one."""
+    P = grid_rectangle(4, 4)
+    for order in _orders("walk|rect4", 1):
+        assert count(P, 0, order) == 10307900
 
 
 # -- reference recursion: point tuples, no memo, from the definition ---------
