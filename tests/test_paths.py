@@ -383,6 +383,21 @@ def test_walk_counts_rect4_genus_zero():
         assert count(P, 0, order) == 10307900
 
 
+@pytest.mark.parametrize("P, g", [(standard_triangle(3), -1), (standard_triangle(4), -1)])
+def test_closure_rows_match_enumeration(P, g):
+    """At g = -1, where pruning drops most prefixes, the rows that contribute
+    are those of the walk without pruning, in the same order, for the
+    sign-free rules and the signed rule."""
+    n = paths._steps_for_genus(P, g)
+    for order in _orders(f"rows|{P.vertices}", 2):
+        signs = _step_classes([(k & 1, k >> 1 & 1) for k in range(n)])
+        for rule, signs_of in ((paths._mu_step, None), (_nu_step, None), (_mu_real_step, signs)):
+            rows = {lazy: [row for row in paths._path_sides(P, order, n, rule, signs_of, lazy)
+                           if row[1] * row[2]] for lazy in (True, False)}
+            assert rows[True]
+            assert rows[True] == rows[False]
+
+
 # -- reference recursion: point tuples, no memo, from the definition ---------
 
 
