@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import zlib
@@ -38,8 +37,8 @@ from .real import _mu_real_step, _nu_step, _step_classes, welschinger_count
 
 SIGN_TOKENS = {"++": (0, 0), "+-": (0, 1), "-+": (1, 0), "--": (1, 1)}
 TABLE_CEILING = {"projective": 5, "bidegree": 3}
-_JOBS_HELP = ("worker count (or TROPICO_JOBS), a positive integer; accepted for "
-              "compatibility and selects nothing: counting runs in one process")
+_JOBS_HELP = ("worker count, a positive integer; accepted for compatibility and "
+              "selects nothing: counting runs in one process")
 
 
 class InputError(ValueError):
@@ -100,15 +99,14 @@ def _parse_signs(text: str, n: int) -> list[tuple[int, int]]:
 
 
 def _check_jobs(args) -> None:
-    """Validate --jobs / TROPICO_JOBS.  Kept for compatibility: counting runs
-    in one process, so the value selects nothing."""
-    value = args.jobs
-    if value is None:
-        value = os.environ.get("TROPICO_JOBS", "1")
+    """Validate --jobs.  Kept for compatibility: counting runs in one
+    process, so the value selects nothing."""
+    if args.jobs is None:
+        return
     try:
-        jobs = int(value)
+        jobs = int(args.jobs)
     except ValueError as exc:
-        raise InputError(f"bad worker count {value!r}") from exc
+        raise InputError(f"bad worker count {args.jobs!r}") from exc
     if jobs < 1:
         raise InputError("worker count must be at least 1")
 
@@ -170,9 +168,12 @@ def cmd_counting(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
     n = _steps_for_genus(P, args.genus)
-    signs_of = _step_classes(_parse_signs(args.signs, n)) if takes_signs else None
+    if takes_signs and args.signs == []:
+        # argparse before 3.12 strips a lone "--" from an option's value
+        args.signs = "--"
+    step_class = _step_classes(_parse_signs(args.signs, n)) if takes_signs else None
     _check_jobs(args)
-    rows = list(_path_sides(P, order, n, rule, signs_of))
+    rows = list(_path_sides(P, order, n, rule, step_class))
     total = sum(plus * minus for _, plus, minus in rows)
     contributing = [row for row in rows if row[1] * row[2] != 0]
     if args.format == "json":

@@ -219,8 +219,8 @@ class LinearOrder:
     tiebreak: LatticePoint
 
     def __init__(self, primary: Iterable[int], tiebreak: Iterable[int]):
-        p = tuple(int(c) for c in primary)
-        t = tuple(int(c) for c in tiebreak)
+        p = tuple(map(_coordinate, primary))
+        t = tuple(map(_coordinate, tiebreak))
         if len(p) != 2 or len(t) != 2:
             raise ValueError("order vectors must be 2-dimensional")
         object.__setattr__(self, "primary", p)

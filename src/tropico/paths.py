@@ -9,9 +9,11 @@ to the curve count.
 The recursion lives in `_Context`: `_moves` holds its base cases, the choice
 of the first convex vertex and its two moves (cut off the corner triangle, or
 mirror the corner across a parallelogram), and `side_value` runs it memoised
-under a triangle step rule.  The parallelogram move always weighs 1.  The
-rule here, `_mu_step`, weighs a triangle by its doubled area; `real` adds the
-signed and Welschinger rules.  `decode` walks the same moves and gathers the
+under a triangle step rule.  The parallelogram move always weighs 1.  A rule
+takes the two corner steps and their sign classes and gives the weighted
+classes of the merged step; the rule here, `_mu_step`, weighs a triangle by
+its doubled area and ignores the classes; `real` adds the signed and
+Welschinger rules.  `decode` walks the same moves and gathers the
 cells, giving the polygon subdivisions dual to the curves a path encodes.
 
 No move cuts or mirrors a corner that lies on alpha, the side's boundary
@@ -27,19 +29,24 @@ alpha's, so a side value is the product over the path's excursions away
 from alpha, each evaluated as the mask that follows the path there and
 alpha everywhere else.
 
-Every count is a sum over one depth-first walk, `_Context.walk`, which adds
-a path's points in order and multiplies each side's excursions as the path
-closes them at alpha.  A prefix whose product is 0 on a side is 0 on every
-path that extends it, so the walk drops it with all of them: under mu, most
-paths never get built.
+Every count, complex, signed or Welschinger, is a sum over one depth-first
+walk, `_Context.walk`, which adds a path's points in order and multiplies
+each side's excursions as the path closes them at alpha.  A prefix whose
+product is 0 on a side is 0 on every path that extends it, so the walk drops
+it with all of them: most paths never get built.
 
 Inside the recursion a path is a mask: with the polygon's lattice points
 sorted by the order, bit i is set when the i-th point is on the path.
 Cutting the corner at point b is `m ^ (1 << b)`; the mirror point j lies
 between the corner's neighbours in the order, so the mirror move is that
-cut plus `| (1 << j)`.  Each (rule, side) has its own memo keyed by ints.
-The public functions take and yield point tuples and convert at the
-boundary.
+cut plus `| (1 << j)`.  The signed rule's step classes are 4-bit nibbles
+packed into a second int by point slot: the step that leaves point i has
+bits 4i..4i+3.  A cut a -> b -> c merges slots a and b into slot a, a
+mirror to j moves b's class to slot a and a's to slot j, and an excursion
+from f to g keeps slots f to g - 1, so the classes of one stretch of path
+sit in the same bits on every path through it.  Each (rule, side) has its
+own memo keyed by the int `mask | classes << n`.  The public functions take
+and yield point tuples and convert at the boundary.
 """
 
 from __future__ import annotations
@@ -234,12 +241,12 @@ class _Context:
 
         Returns a leaf value, 0 (fewer steps than the side's boundary chain,
         or no convex corner) or 1 (the boundary chain itself), or else
-        (k, u, v, dropped, mirrored, lo') for the first convex vertex, the
-        path's k-th point: the corner steps u, v, the path with that corner
-        cut off, and the path with the corner mirrored across the
-        parallelogram on u, v (None when the mirror point leaves the
-        polygon).  The scan starts at point `lo`, no earlier vertex being
-        convex; both results may start theirs at `lo'`, the corner's
+        (a, b, u, v, dropped, mirror, lo') for the first convex vertex b and
+        its predecessor a on the path, both point indices: the corner steps
+        u, v, the path with that corner cut off, and the bit of the mirror
+        point a + v across the parallelogram on u, v (None when it leaves
+        the polygon).  The scan starts at point `lo`, no earlier vertex
+        being convex; both results may start theirs at `lo'`, the corner's
         predecessor's predecessor, since they keep the path up to there.
         """
         if m.bit_count() - 1 < self.steps[side]:
@@ -256,11 +263,9 @@ class _Context:
             if convex[a][b] & c_bit:
                 X, Y, c = self.X, self.Y, c_bit.bit_length() - 1
                 u, v = (X[b] - X[a], Y[b] - Y[a]), (X[c] - X[b], Y[c] - Y[b])
-                dropped = m ^ (1 << b)
-                mirror = self.bit.get((X[a] + v[0], Y[a] + v[1]))
                 below = m & ((1 << b) - 1)
                 # p, bit 0, is on every path, so `| 1` keeps lo' at 0 when a is p
-                return (below.bit_count(), u, v, dropped, None if mirror is None else dropped | mirror,
+                return (a, b, u, v, m ^ (1 << b), self.bit.get((X[a] + v[0], Y[a] + v[1])),
                         ((below ^ (1 << a)) | 1).bit_length() - 1)
             rest ^= c_bit
             a, b = b, c_bit.bit_length() - 1
@@ -270,11 +275,14 @@ class _Context:
         """One-sided multiplicity of the path mask `m` under a triangle step
         rule.
 
-        `rule(u, v, packed, k)` gives the (weight, packed classes after the
-        cut) alternatives for cutting off the triangle on the corner steps
-        u, v, steps k - 1 and k of the path; `packed` holds the step sign
-        classes, 0 for the sign-free rules.  The parallelogram move weighs 1
-        and swaps the classes of the two corner steps.
+        `packed` holds the step sign classes by point slot, the class of
+        the step that leaves point i in bits 4i..4i+3, and is 0 for the
+        sign-free rules.  `rule(u, v, na, nb)` gives the (weight, class)
+        alternatives for cutting off the triangle on the corner steps u, v
+        of classes na, nb; the merged step a -> c takes the class in slot a.
+        The parallelogram move weighs 1: the mirrored path a -> j -> c
+        steps along v, then u, so b's class moves to slot a and a's to
+        slot j.
         """
         return self._value(rule, self._memos[rule, side], m, packed, side, 0)
 
@@ -305,16 +313,16 @@ class _Context:
         if step.__class__ is int:
             val = step
         else:
-            k, u, v, dropped, mirrored, lo = step
+            a, b, u, v, dropped, mirror, lo = step
+            na, nb = packed >> 4 * a & 15, packed >> 4 * b & 15
+            rest = packed ^ na << 4 * a ^ nb << 4 * b
             val = 0
-            for w, cut in rule(u, v, packed, k):
-                val += w * self._value(rule, memo, dropped, cut, side, lo)
-            if mirrored is not None:
-                if packed:
-                    s = 4 * (k - 1)
-                    x = ((packed >> s) ^ (packed >> (s + 4))) & 15
-                    packed ^= x << s | x << (s + 4)
-                val += self._value(rule, memo, mirrored, packed, side, lo)
+            for w, c in rule(u, v, na, nb):
+                val += w * self._value(rule, memo, dropped, rest | c << 4 * a, side, lo)
+            if mirror is not None:
+                j = mirror.bit_length() - 1
+                val += self._value(rule, memo, dropped | mirror, rest | nb << 4 * a | na << 4 * j,
+                                   side, lo)
         memo[key] = val
         return val
 
@@ -324,8 +332,8 @@ class _Context:
         Between two consecutive points f < g where m meets alpha, m and
         alpha run apart over the points strictly between, R.  The
         excursion is the mask that follows m on R and alpha elsewhere,
-        with m's step classes on R moved to the excursion's own steps and
-        class 0 on the alpha steps.
+        with the classes of m's steps from f to g, those in slots f to
+        g - 1, and none elsewhere.
         """
         alpha = self.alpha[side]
         touch, diff, val = m & alpha, m ^ alpha, 1
@@ -333,17 +341,13 @@ class _Context:
             low = diff & -diff
             f = (touch & (low - 1)).bit_length() - 1
             above = touch & -low
-            R = (above & -above) - (2 << f)
+            g = (above & -above).bit_length() - 1
+            R = (1 << g) - (2 << f)
             diff &= ~R
             ours = m & R
-            if packed:
-                below = (1 << f) - 1
-                classes = packed >> 4 * (m & below).bit_count() & ((16 << 4 * ours.bit_count()) - 1)
-                packed_ex = classes << 4 * (alpha & below).bit_count()
-            else:
-                packed_ex = 0
-            got = memo.get(ours | alpha & ~R | packed_ex << self.n)
-            val *= self._excursion(rule, memo, ours, R, packed_ex, side, f) if got is None else got
+            classes = packed and packed & ((1 << 4 * g) - (1 << 4 * f))
+            got = memo.get(ours | alpha & ~R | classes << self.n)
+            val *= self._excursion(rule, memo, ours, R, classes, side, f) if got is None else got
             if not val:
                 return 0
         return val
@@ -353,9 +357,9 @@ class _Context:
         """The value of one excursion that is not in the memo: R holds the
         points strictly between f and the next point where the path meets
         alpha, `ours` the path's points among them, and `packed` the
-        excursion's own step classes.  The excursion follows `ours` on R and
-        alpha elsewhere, so its memo key, which callers look up first to
-        save this call, is `ours | alpha & ~R | packed << n`."""
+        classes of the path's steps between the two.  The excursion follows
+        `ours` on R and alpha elsewhere, so its memo key, which callers look
+        up first to save this call, is `ours | alpha & ~R | packed << n`."""
         alpha = self.alpha[side]
         # fewer steps than alpha's stretch: no chain of moves gets there
         if ours.bit_count() < (alpha & R).bit_count():
@@ -363,29 +367,33 @@ class _Context:
         # nothing before f is convex: the excursion's scan starts there
         return self._value(rule, memo, ours | alpha & ~R, packed, side, f)
 
-    def walk(self, rule: Callable, n: int, lazy: bool = True) -> Iterator[tuple[int, int, int]]:
+    def walk(self, rule: Callable, n: int, step_class: Callable | None = None,
+             lazy: bool = True) -> Iterator[tuple[int, int, int]]:
         """(mask, plus, minus) for the increasing paths with n steps, in
-        enumeration order, under a sign-free triangle step rule.
+        enumeration order, under a triangle step rule.
 
         The walk is depth first and adds a path's points in ascending order,
         so paths come out as `itertools.combinations` gives their inner
-        points.  For each side it carries the last point f where the path
-        met alpha and the product of the excursions closed so far.  Reaching
-        a point of alpha closes the stretch since f (`_excursion`).  When
-        `lazy`, a prefix is dropped with every path below it once its
-        product on either side is 0, or once it has fewer steps left than
-        alpha has after f: each stretch needs at least alpha's steps.  So a
-        lazy walk yields exactly the paths whose value is nonzero on both
-        sides; otherwise it yields every path.
+        points.  `step_class(k, dx, dy)` is the class nibble of step k,
+        along (dx, dy), for the signed rule (None for the sign-free ones);
+        each prefix carries its steps' classes by point slot.  For each side
+        it carries the last point f where the path met alpha and the
+        product of the excursions closed so far.  Reaching a point g of
+        alpha closes the stretch since f (`_excursion`), with the classes
+        in slots f to g - 1.  When `lazy`, a prefix is dropped with every
+        path below it once its product on either side is 0, or once it has
+        fewer steps left than alpha has after f: each stretch needs at
+        least alpha's steps.  So a lazy walk yields exactly the paths whose
+        value is nonzero on both sides; otherwise it yields every path.
         """
-        q = self.n - 1
+        q, N, X, Y = self.n - 1, self.n, self.X, self.Y
         alpha_p, alpha_m = self.alpha[Side.PLUS], self.alpha[Side.MINUS]
         memo_p, memo_m = self._memos[rule, Side.PLUS], self._memos[rule, Side.MINUS]
         excursion = self._excursion
-        # (last point, steps, mask, then f and product for plus and minus)
-        stack = [(0, 0, 1, 0, 1, 0, 1)]
+        # (last point, steps, mask, classes, then f and product for plus and minus)
+        stack = [(0, 0, 1, 0, 0, 1, 0, 1)]
         while stack:
-            j, k, m, f_p, v_p, f_m, v_m = stack.pop()
+            j, k, m, packed, f_p, v_p, f_m, v_m = stack.pop()
             if j == q:
                 yield m, v_p, v_m
                 continue
@@ -395,13 +403,17 @@ class _Context:
             # the last step goes to q, which is on both chains
             for c in range(q - n + k, j, -1) if k < n else (q,):
                 bit = 1 << c
+                classes = packed
+                if step_class:
+                    classes |= step_class(k - 1, X[c] - X[j], Y[c] - Y[j]) << 4 * j
                 g_p, w_p, g_m, w_m = f_p, v_p, f_m, v_m
                 if alpha_p & bit:
                     R = bit - (2 << f_p)
                     ours = m & R
                     if w_p and (ours or alpha_p & R):
-                        x = memo_p.get(ours | alpha_p & ~R)
-                        w_p *= excursion(rule, memo_p, ours, R, 0, Side.PLUS, f_p) if x is None else x
+                        ex = classes and classes & ((1 << 4 * c) - (1 << 4 * f_p))
+                        x = memo_p.get(ours | alpha_p & ~R | ex << N)
+                        w_p *= excursion(rule, memo_p, ours, R, ex, Side.PLUS, f_p) if x is None else x
                     if lazy and (not w_p or n - k < (alpha_p >> c).bit_count() - 1):
                         continue
                     g_p = c
@@ -409,15 +421,16 @@ class _Context:
                     R = bit - (2 << f_m)
                     ours = m & R
                     if w_m and (ours or alpha_m & R):
-                        x = memo_m.get(ours | alpha_m & ~R)
-                        w_m *= excursion(rule, memo_m, ours, R, 0, Side.MINUS, f_m) if x is None else x
+                        ex = classes and classes & ((1 << 4 * c) - (1 << 4 * f_m))
+                        x = memo_m.get(ours | alpha_m & ~R | ex << N)
+                        w_m *= excursion(rule, memo_m, ours, R, ex, Side.MINUS, f_m) if x is None else x
                     if lazy and (not w_m or n - k < (alpha_m >> c).bit_count() - 1):
                         continue
                     g_m = c
-                stack.append((c, k, m | bit, g_p, w_p, g_m, w_m))
+                stack.append((c, k, m | bit, classes, g_p, w_p, g_m, w_m))
 
 
-def _mu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
+def _mu_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of mu: the doubled area of the corner triangle."""
     return ((abs(cross(u, v)), 0),)
 
@@ -433,15 +446,15 @@ def _leaves(ctx: _Context, m: int, side: Side) -> tuple[tuple[int, tuple], ...]:
     if isinstance(step, int):
         val = ((1, ()),) if step else ()
     else:
-        _, u, v, dropped, mirrored, _ = step
-        b = ctx.points[(m ^ dropped).bit_length() - 1]
-        a, c = sub(b, u), add(b, v)
+        a, b, u, v, dropped, mirror, _ = step
+        a, b = ctx.points[a], ctx.points[b]
+        c = add(b, v)
         tri = LatticePolygon([a, b, c])
         area2 = abs(cross(u, v))
         out = [(w * area2, cells + (tri,)) for w, cells in _leaves(ctx, dropped, side)]
-        if mirrored is not None:
+        if mirror is not None:
             par = LatticePolygon([a, b, c, add(a, v)])
-            out += [(w, cells + (par,)) for w, cells in _leaves(ctx, mirrored, side)]
+            out += [(w, cells + (par,)) for w, cells in _leaves(ctx, dropped | mirror, side)]
         val = tuple(out)
     memo[m] = val
     return val
@@ -520,38 +533,27 @@ def _path_sides(
     order: LinearOrder,
     n: int,
     rule: Callable = _mu_step,
-    signs_of: Callable[[LatticePath], int] | None = None,
+    step_class: Callable | None = None,
     lazy: bool = True,
 ) -> Iterator[tuple[LatticePath, int, int]]:
     """(path, plus, minus) for increasing paths with n steps, in enumeration
-    order, under a triangle step rule: the rows of `_Context.walk`, which
-    when `lazy` are only the paths whose value is nonzero on both sides.
-
-    `signs_of` gives the packed step sign classes of a path for the signed
-    rule, which runs only on the rows of a walk under mu, and on the minus
-    side only where the plus side is nonzero; a side it skips reads 0.
-    That loses nothing: every move of mu weighs a positive amount, so a
-    side's mu is 0 exactly where no chain of moves reaches its boundary
-    chain, and the signed rule walks the same moves.
-    """
+    order, under a triangle step rule and, for the signed rule, the class
+    of each step: the rows of `_Context.walk`, which when `lazy` are only
+    the paths whose value is nonzero on both sides."""
     ctx = _context(P, order)
-    value, points = ctx.side_value, ctx.points
-    for m, plus, minus in ctx.walk(rule if signs_of is None else _mu_step, n, lazy):
+    points = ctx.points
+    for m, plus, minus in ctx.walk(rule, n, step_class, lazy):
         # bin(m)[:1:-1] reads the bits from point 0 up
-        pts = tuple(itertools.compress(points, map(int, bin(m)[:1:-1])))
-        if signs_of is not None:
-            packed = signs_of(pts)
-            plus = value(rule, m, packed, Side.PLUS)
-            minus = plus and value(rule, m, packed, Side.MINUS)
-        yield pts, plus, minus
+        yield tuple(itertools.compress(points, map(int, bin(m)[:1:-1]))), plus, minus
 
 
-def _total(P: LatticePolygon, g: int, order: LinearOrder | None, rule: Callable) -> int:
-    """The sum of plus * minus under a sign-free step rule over the paths
-    of genus g, from the masks of the walk."""
+def _total(P: LatticePolygon, g: int, order: LinearOrder | None, rule: Callable,
+           step_class: Callable | None = None) -> int:
+    """The sum of plus * minus under a step rule over the paths of genus g,
+    from the masks of the walk."""
     if order is None:
         order = LinearOrder.default()
-    walk = _context(P, order).walk(rule, _steps_for_genus(P, g))
+    walk = _context(P, order).walk(rule, _steps_for_genus(P, g), step_class)
     return sum(plus * minus for _, plus, minus in walk)
 
 

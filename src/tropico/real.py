@@ -19,11 +19,12 @@ Inside, a sign class is a nibble, a 4-bit mask with bit 2 * r[0] + r[1] set
 for each of its two quadrant signs r, and a vector's parity or primitive
 parity is the same kind of index.  `_merge` is the one definition of how
 two classes meet at a trivalent vertex; the signed rule and the oracle both
-call it.  The recursion packs a path's classes 4 bits per step into one
-int, so the signed memo key is the int `mask | packed << N`; cutting a
-corner merges the two steps' nibbles into one, mirroring it swaps them.
-`real_signed_count` runs the signed rule only where mu is nonzero on both
-sides, which is exact (see `paths._path_sides`).  Frozenset classes appear
+call it.  The recursion packs a path's classes into one int, each step's
+nibble in the slot of the point it leaves (see `paths`), so the signed memo
+key is the int `mask | packed << N`; the signed rule is one `_merge` of the
+two corner nibbles, and the recursion puts the result in its slot.
+`real_signed_count` sums over the same walk as the other counts, which
+drops every prefix whose signed product is 0.  Frozenset classes appear
 only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
 `curve_real_multiplicity`, and `_combine`, `_merge` on frozensets.
 """
@@ -31,11 +32,12 @@ only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Mapping, Sequence
 
 from .lattice import LatticePoint, LatticePolygon, LinearOrder, cross, sub
-from .paths import LatticePath, Side, _check_path, _context, _path_sides, _steps_for_genus, _total
+from .paths import LatticePath, Side, _check_path, _context, _steps_for_genus, _total
 
 # A sign class: the two quadrant signs from Z2 x Z2 that a curve edge cannot
 # tell apart.
@@ -104,9 +106,11 @@ def _is_class_of(step: LatticePoint, cls: SignClass) -> bool:
     return bool(cls) and sign_class_of(step, next(iter(cls))) == cls
 
 
-def _pack(classes) -> int:
-    """Step sign classes packed 4 bits per step, step j at bits 4j..4j+3."""
-    return sum(_nibble(cls) << (4 * j) for j, cls in enumerate(classes))
+def _pack(classes, m: int) -> int:
+    """Step sign classes packed by point slot: the class of each step of
+    the path mask m at bits 4i..4i+3 of the point i the step leaves."""
+    slots = (i for i in range(m.bit_length()) if m >> i & 1)
+    return sum(_nibble(cls) << 4 * i for cls, i in zip(classes, slots))
 
 
 # `_merge` results by the one int key its five arguments pack into: 2^14
@@ -197,34 +201,28 @@ def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     return -1 if interior & 1 else 1
 
 
-def _nu_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
+def _nu_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of nu: the Welschinger weight of the corner
     triangle; a triangle of weight 0 leaves no alternative."""
     w = _triangle_welschinger_weight(u, v)
     return ((w, 0),) if w else ()
 
 
-def _mu_real_step(u: LatticePoint, v: LatticePoint, packed: int, k: int):
+def _mu_real_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of mu_real: the `_merge` alternatives for the
-    classes of the two corner steps, each with its merged class in their
-    two nibbles' place."""
-    s = 4 * (k - 1)
-    alts = _merge(packed >> s & 15, packed >> (s + 4) & 15, _index(u), _index(v),
-                  _primitive_index((u[0] + v[0], u[1] + v[1])))
-    low = packed & ((1 << s) - 1)
-    high = packed >> (s + 8) << (s + 4)
-    return [(weight, low | c << s | high) for weight, c in alts]
+    classes na, nb of the two corner steps."""
+    return _merge(na, nb, _index(u), _index(v), _primitive_index((u[0] + v[0], u[1] + v[1])))
 
 
-def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[LatticePath], int]:
-    """Map a path to the packed sign classes of its steps under one
-    quadrant sign per step."""
+def _step_classes(choices: Sequence[tuple[int, int]]) -> Callable[[int, int, int], int]:
+    """`step_class(k, dx, dy)` for `paths._Context.walk`: the class nibble
+    of step k, along (dx, dy), under one quadrant sign per step."""
     indices = [_index(c) for c in choices]
 
-    def signs_of(pts: LatticePath) -> int:
-        return sum(_class_nibble(t, _primitive_index(sub(b, a))) << (4 * j)
-                   for j, (a, b, t) in enumerate(zip(pts, pts[1:], indices)))
-    return signs_of
+    @lru_cache(maxsize=None)
+    def step_class(k: int, dx: int, dy: int) -> int:
+        return _class_nibble(indices[k], _primitive_index((dx, dy)))
+    return step_class
 
 
 def mu_real_side(
@@ -233,14 +231,14 @@ def mu_real_side(
     """Signed one-sided multiplicity of a path."""
     ctx = _context(P, order)
     m = _check_path(ctx, signed.path)
-    return ctx.side_value(_mu_real_step, m, _pack(signed.signs), side)
+    return ctx.side_value(_mu_real_step, m, _pack(signed.signs, m), side)
 
 
 def mu_real(P: LatticePolygon, order: LinearOrder, signed: SignedPath) -> int:
     """Signed multiplicity: product of the two signed one-sided values."""
     ctx = _context(P, order)
     m = _check_path(ctx, signed.path)
-    packed = _pack(signed.signs)
+    packed = _pack(signed.signs, m)
     plus = ctx.side_value(_mu_real_step, m, packed, Side.PLUS)
     return plus and plus * ctx.side_value(_mu_real_step, m, packed, Side.MINUS)
 
@@ -264,14 +262,11 @@ def real_signed_count(
     quadrant signs, among the count(P, g) complex ones: the sum of signed
     path multiplicities.  One sign per marked point; the result depends on
     the signs and on the order."""
-    if order is None:
-        order = LinearOrder.default()
     n = _steps_for_genus(P, g)
-    choices = [(c[0] & 1, c[1] & 1) for c in signs]
-    if len(choices) != n:
-        raise ValueError(f"need {n} signs, got {len(choices)}")
-    rows = _path_sides(P, order, n, _mu_real_step, _step_classes(choices))
-    return sum(plus * minus for _, plus, minus in rows)
+    signs = list(signs)
+    if len(signs) != n:
+        raise ValueError(f"need {n} signs, got {len(signs)}")
+    return _total(P, g, order, _mu_real_step, _step_classes(signs))
 
 
 def welschinger_count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:

@@ -111,6 +111,19 @@ def test_real_count_sign_list(capsys):
     assert doc["signs"] == ",".join(tokens)
 
 
+def test_real_count_signs_minus_minus(capsys):
+    # argparse before 3.12 hands a lone "--" value over as []; it broadcasts
+    # like any other single token
+    tri5 = '{"vertices": [[0,0],[5,0],[0,5]]}'
+    base = ["real-count", "--polygon", tri5, "--genus", "0"]
+    code, out, _ = run(base + ["--signs=--"], capsys)
+    assert (code, out) == (0, "87277\n")
+    code, out, _ = run(base + ["--signs=" + ",".join(["--"] * 14)], capsys)
+    assert (code, out) == (0, "87277\n")
+    code, out, _ = run(base + ["--signs=--", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["signs"] == "--"
+
+
 def test_welschinger_cli(capsys):
     code, out, _ = run(["welschinger", "--polygon", D3, "--genus", "0"], capsys)
     assert code == 0
@@ -296,7 +309,7 @@ def test_exit_code_3_mathematical_inputs(capsys):
         assert "error" in err
 
 
-def test_jobs_determinism(capsys, monkeypatch):
+def test_jobs_determinism(capsys):
     base = None
     for argv in (
         ["count", "--polygon", D3, "--genus", "-1", "--per-path"],
@@ -307,13 +320,6 @@ def test_jobs_determinism(capsys, monkeypatch):
         if base is None:
             base = out
         assert out == base
-    monkeypatch.setenv("TROPICO_JOBS", "2")
-    code, out, _ = run(["count", "--polygon", D3, "--genus", "-1", "--per-path"], capsys)
-    assert code == 0
-    assert out == base
-    monkeypatch.setenv("TROPICO_JOBS", "zero")
-    code, _, err = run(["count", "--polygon", D3, "--genus", "-1"], capsys)
-    assert code == 2
 
 
 def test_cli_as_subprocess():

@@ -147,6 +147,15 @@ def test_order_key_and_default():
     assert LinearOrder.from_json(order.to_json()).key((3, 1)) == order.key((3, 1))
 
 
+def test_order_refuses_non_integers():
+    with pytest.raises(TypeError, match="must be integers, got 0.9"):
+        LinearOrder((0.9, 1), (1, -1))
+    with pytest.raises(TypeError, match="must be integers, got True"):
+        LinearOrder.from_json('{"primary": [true, 0], "tiebreak": [0, -1]}')
+    with pytest.raises(TypeError, match="must be integers, got '0'"):
+        LinearOrder.from_json('{"primary": [1, 0], "tiebreak": ["0", -1]}')
+
+
 def test_extremal_vertices_default_order():
     P = standard_triangle(3)
     p, q = extremal_vertices(P, LinearOrder.default())

@@ -332,14 +332,18 @@ def _orders(seed, draws):
     return [DEFAULT] + [random_order(rng) for _ in range(draws)]
 
 
-def _reference_rows(P, order, n, rule, signs_of=None):
+def _reference_rows(P, order, n, rule, step_class=None):
     """(path, plus, minus) for every path with n steps, each side value
-    evaluated on its own."""
+    evaluated on its own, the class of each step packed in the slot of the
+    point it leaves."""
     ctx = paths._context(P, order)
     rows = []
     for pts in enumerate_paths(P, order, n):
         m = paths._check_path(ctx, pts)
-        packed = 0 if signs_of is None else signs_of(pts)
+        packed = 0
+        if step_class is not None:
+            packed = sum(step_class(k, *sub(b, a)) << 4 * ctx.points.index(a)
+                         for k, (a, b) in enumerate(zip(pts, pts[1:])))
         rows.append((pts, ctx.side_value(rule, m, packed, Side.PLUS),
                      ctx.side_value(rule, m, packed, Side.MINUS)))
     return rows
@@ -352,27 +356,21 @@ def _reference_rows(P, order, n, rule, signs_of=None):
     (CUSP, (0, 1)),
 ])
 def test_walk_rows_match_enumeration(P, genera):
-    """Against a plain loop over `enumerate_paths`, under three orders: the
-    lazy walk yields exactly the rows whose product is nonzero, in the same
-    order, under mu and under nu; under the signed rule it yields the paths
-    where mu is nonzero on both sides, and the same rows whose product is
-    nonzero.  The walk without pruning yields every row of the loop."""
+    """Against a plain loop over `enumerate_paths`, under three orders and
+    under mu, nu and the signed rule with a random quadrant sign per step:
+    the walk without pruning yields every row of the loop, and the lazy
+    walk exactly the rows whose product is nonzero, in the same order."""
     rng = random.Random(f"walk|{P.vertices}")
     for order in _orders(f"walk|{P.vertices}", 2):
         for g in genera:
             n = paths._steps_for_genus(P, g)
-            for rule in (paths._mu_step, _nu_step):
-                want = _reference_rows(P, order, n, rule)
-                assert list(paths._path_sides(P, order, n, rule, lazy=False)) == want
-                nonzero = [row for row in want if row[1] * row[2]]
-                assert list(paths._path_sides(P, order, n, rule)) == nonzero
-                if rule is paths._mu_step:
-                    mu_paths = [row[0] for row in nonzero]
             signs = _step_classes([(rng.randint(0, 1), rng.randint(0, 1)) for _ in range(n)])
-            rows = list(paths._path_sides(P, order, n, _mu_real_step, signs))
-            assert [row[0] for row in rows] == mu_paths
-            want = _reference_rows(P, order, n, _mu_real_step, signs)
-            assert [row for row in rows if row[1] * row[2]] == [row for row in want if row[1] * row[2]]
+            for rule, step_class in ((paths._mu_step, None), (_nu_step, None),
+                                     (_mu_real_step, signs)):
+                want = _reference_rows(P, order, n, rule, step_class)
+                assert list(paths._path_sides(P, order, n, rule, step_class, lazy=False)) == want
+                nonzero = [row for row in want if row[1] * row[2]]
+                assert list(paths._path_sides(P, order, n, rule, step_class)) == nonzero
 
 
 def test_walk_counts_rect4_genus_zero():
@@ -391,8 +389,8 @@ def test_closure_rows_match_enumeration(P, g):
     n = paths._steps_for_genus(P, g)
     for order in _orders(f"rows|{P.vertices}", 2):
         signs = _step_classes([(k & 1, k >> 1 & 1) for k in range(n)])
-        for rule, signs_of in ((paths._mu_step, None), (_nu_step, None), (_mu_real_step, signs)):
-            rows = {lazy: [row for row in paths._path_sides(P, order, n, rule, signs_of, lazy)
+        for rule, step_class in ((paths._mu_step, None), (_nu_step, None), (_mu_real_step, signs)):
+            rows = {lazy: [row for row in paths._path_sides(P, order, n, rule, step_class, lazy)
                            if row[1] * row[2]] for lazy in (True, False)}
             assert rows[True]
             assert rows[True] == rows[False]
@@ -513,7 +511,7 @@ def test_side_values_split_at_the_boundary_chain(P):
             for m in masks:
                 step = ctx._moves(m, side)
                 if step.__class__ is not int:
-                    assert not (m ^ step[3]) & alpha
+                    assert not alpha >> step[1] & 1
                 if _excursions(m, alpha) >= 2:
                     found[ctx.side_value(paths._mu_step, m, 0, side) > 0].append(m)
             split += len(found[False]) + len(found[True])
@@ -527,7 +525,7 @@ def test_side_values_split_at_the_boundary_chain(P):
                                      (_nu_step, _welschinger_weight)):
                     assert ctx.side_value(rule, m, 0, side) == _reference_side(
                         P, order, pts, side, weight)
-                assert ctx.side_value(_mu_real_step, m, _pack(classes), side) == _reference_side(
+                assert ctx.side_value(_mu_real_step, m, _pack(classes, m), side) == _reference_side(
                     P, order, pts, side, _signed_weight, classes)
     # the cusp's paths are too short to leave alpha twice with mu > 0
     assert split and (nonzero or P is CUSP)
