@@ -41,6 +41,17 @@ _JOBS_HELP = ("worker count, a positive integer; accepted for compatibility and 
               "selects nothing: counting runs in one process")
 
 
+def _jobs(text: str) -> int:
+    """The --jobs value, checked by the parser: a positive integer."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"worker count must be a positive integer, got {text!r}")
+    return jobs
+
+
 class InputError(ValueError):
     """Malformed command-line input (exit code 2)."""
 
@@ -59,8 +70,7 @@ def _read_source(text: str) -> str:
 def _parse_polygon(text: str) -> LatticePolygon:
     raw = _read_source(text)
     try:
-        data = json.loads(raw)
-        return LatticePolygon([tuple(p) for p in data["vertices"]])
+        return LatticePolygon.from_json(raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad polygon JSON: {exc}") from exc
 
@@ -96,19 +106,6 @@ def _parse_signs(text: str, n: int) -> list[tuple[int, int]]:
         return [SIGN_TOKENS[t] for t in tokens]
     except KeyError as exc:
         raise InputError(f"bad sign token {exc.args[0]!r}, expected ++ +- -+ --") from exc
-
-
-def _check_jobs(args) -> None:
-    """Validate --jobs.  Kept for compatibility: counting runs in one
-    process, so the value selects nothing."""
-    if args.jobs is None:
-        return
-    try:
-        jobs = int(args.jobs)
-    except ValueError as exc:
-        raise InputError(f"bad worker count {args.jobs!r}") from exc
-    if jobs < 1:
-        raise InputError("worker count must be at least 1")
 
 
 def _second_order(P: LatticePolygon, tag: str) -> LinearOrder:
@@ -163,7 +160,8 @@ _COUNTING = {
 
 def cmd_counting(args) -> int:
     """count, welschinger and real-count: the total of a step rule over the
-    paths, with one row per contributing path under --per-path."""
+    paths, with one row per contributing path under --per-path (the lazy
+    walk yields only those)."""
     rule, takes_signs, label, check = _COUNTING[args.command]
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
@@ -172,10 +170,8 @@ def cmd_counting(args) -> int:
         # argparse before 3.12 strips a lone "--" from an option's value
         args.signs = "--"
     step_class = _step_classes(_parse_signs(args.signs, n)) if takes_signs else None
-    _check_jobs(args)
     rows = list(_path_sides(P, order, n, rule, step_class))
     total = sum(plus * minus for _, plus, minus in rows)
-    contributing = [row for row in rows if row[1] * row[2] != 0]
     if args.format == "json":
         doc = {
             "polygon": [list(v) for v in P.vertices],
@@ -186,11 +182,11 @@ def cmd_counting(args) -> int:
         if takes_signs:
             doc["signs"] = args.signs
         if args.per_path:
-            doc["per_path"] = _per_path_json(contributing)
+            doc["per_path"] = _per_path_json(rows)
         print(json.dumps(doc))
     else:
         if args.per_path:
-            _print_per_path_tsv(contributing)
+            _print_per_path_tsv(rows)
         print(total)
     if check is None:
         return 0
@@ -206,7 +202,6 @@ def cmd_paths(args) -> int:
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
     n = _steps_for_genus(P, args.genus)
-    _check_jobs(args)
     # a listing shows both sides of every path; a summary may leave out the
     # paths that cannot contribute, so their number comes from the binomial
     rows = list(_path_sides(P, order, n, lazy=not args.list))
@@ -331,12 +326,9 @@ def cmd_table(args) -> int:
             f"dmax {args.dmax} out of range 1..{ceiling} for family {family!r}"
         )
     order = LinearOrder.default()
-    _check_jobs(args)
     columns = list(range(1, args.dmax + 1))
-    g_max = 0
-    for d in columns:
-        _, interior = _table_polygon(family, d).counts()
-        g_max = max(g_max, interior)
+    # the largest polygon of the family has the most interior points
+    _, g_max = _table_polygon(family, args.dmax).counts()
     grid = {}
     for d in columns:
         P = _table_polygon(family, d)
@@ -373,15 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, genus=True):
+    def common(p):
         p.add_argument("--polygon", required=True,
                        help="polygon JSON: file path or literal {'vertices': [[x,y],...]}")
-        if genus:
-            p.add_argument("--genus", type=int, required=True)
+        p.add_argument("--genus", type=int, required=True)
         p.add_argument("--order", default=None, metavar="a,b/c,d",
                        help="injective order, default 1,0/0,-1")
         p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-        p.add_argument("--jobs", default=None, help=_JOBS_HELP)
+        p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
 
     p = sub.add_parser("count", help="number of curves of a genus through generic points")
     common(p)
@@ -417,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("projective", "bidegree"), default="projective")
     p.add_argument("--dmax", type=int, default=3)
     p.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p.add_argument("--jobs", default=None, help=_JOBS_HELP)
+    p.add_argument("--jobs", type=_jobs, default=None, help=_JOBS_HELP)
     p.set_defaults(func=cmd_table)
 
     return ap

@@ -114,19 +114,9 @@ class TropicalPolynomial:
 
 
 def _support_dimension(points: Sequence[LatticePoint]) -> int:
-    if len(points) == 1:
-        return 0
-    base = points[0]
-    d = None
-    for p in points[1:]:
-        v = sub(p, base)
-        if v == (0, 0):
-            continue
-        if d is None:
-            d = v
-        elif cross(d, v) != 0:
-            return 2
-    return 0 if d is None else 1
+    """0 for one point, 1 for collinear points, 2 for a support with area:
+    `convex_hull` keeps one point of a point and the two ends of a segment."""
+    return min(len(convex_hull(points)), 3) - 1
 
 
 def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int]:
@@ -224,17 +214,22 @@ def _upper_faces(f: TropicalPolynomial) -> list[_Face]:
     return sorted(faces.values(), key=lambda face: face.points)
 
 
+def _subdivision(f: TropicalPolynomial) -> tuple[list[_Face], DualSubdivision, dict]:
+    """The upper faces of f's lift, the subdivision with one cell per face
+    in face order, and the edge map its tiling check returned."""
+    newton = convex_hull(f.terms)
+    if len(newton) < 3:
+        raise DegenerateSupport("support spans no area")
+    faces = _upper_faces(f)
+    cells = tuple(LatticePolygon(convex_hull(face.points)) for face in faces)
+    out = DualSubdivision(ambient=LatticePolygon(newton), cells=cells)
+    return faces, out, out.validate_tiling()
+
+
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     """The regular subdivision of the Newton polygon induced by the
     coefficient lift: one cell per upper face of the lifted hull."""
-    if _support_dimension(f.support()) < 2:
-        raise DegenerateSupport("support spans no area")
-    cells = tuple(
-        LatticePolygon(convex_hull(face.points)) for face in _upper_faces(f)
-    )
-    out = DualSubdivision(ambient=f.newton_polygon(), cells=cells)
-    out.validate_tiling()
-    return out
+    return _subdivision(f)[1]
 
 
 def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
@@ -275,18 +270,12 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
             else:
                 break
         hull.append((t, a))
-    new = {}
-    for p in pts:
-        t = param(p)
-        value = None
-        for (t1, a1), (t2, a2) in zip(hull, hull[1:]):
-            if t1 <= t <= t2:
-                value = a1 + (a2 - a1) * Fraction(t - t1, t2 - t1)
-                break
-        if value is None:
-            value = dict(hull).get(t, f.terms[p])
-        new[p] = value
-    return TropicalPolynomial(new)
+    # the upper hull is concave, so it is the least of its pieces
+    return TropicalPolynomial({
+        p: min(a1 + (a2 - a1) * Fraction(param(p) - t1, t2 - t1)
+               for (t1, a1), (t2, a2) in zip(hull, hull[1:]))
+        for p in pts
+    })
 
 
 @dataclass(frozen=True)
@@ -325,21 +314,16 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     """The corner locus of f as a weighted graph dual to its subdivision:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
     boundary cell edge, weights equal to dual lattice lengths."""
-    if _support_dimension(f.support()) < 2:
-        raise DegenerateSupport("support spans no area")
-    faces = _upper_faces(f)
-    cells = []
+    faces, sub_, emap = _subdivision(f)
     vertices: list[RationalPoint] = []
     for face in faces:
         for p in face.points:
             if face.value_at(p) != f.terms[p]:
                 raise ArithmeticError("face plane misses one of its own lifts")
-        cells.append(LatticePolygon(convex_hull(face.points)))
         vertices.append((-face.alpha, -face.beta))
-    sub_ = DualSubdivision(ambient=f.newton_polygon(), cells=tuple(cells))
     bounded = []
     rays = []
-    for (a, b), incident in sorted(sub_.validate_tiling().items()):
+    for (a, b), incident in sorted(emap.items()):
         w = lattice_length(sub(b, a))
         if len(incident) == 2:
             i, j = incident

@@ -257,6 +257,8 @@ def test_exit_code_2_malformed_inputs(capsys):
         ["real-count", "--polygon", D2, "--genus", "0", "--signs", "++,--"],
         ["count", "--polygon", D2, "--genus", "0", "--jobs", "0"],
         ["count", "--polygon", D2, "--genus", "0", "--jobs", "many"],
+        ["paths", "--polygon", D2, "--genus", "0", "--jobs", "0"],
+        ["table", "--jobs", "many"],
         # inexact JSON numbers are refused, not truncated or rounded
         ["count", "--polygon", '{"vertices": [[0,0],[3.9,0],[0,3]]}', "--genus", "0"],
         ["curve", "--poly", '{"terms": [{"exp": [0.5,0], "coeff": "1"}, '

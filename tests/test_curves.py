@@ -288,6 +288,62 @@ def test_canonicalize_collinear_support():
     assert canonicalize(single) == single
 
 
+def _brute_rank(points):
+    """The rank of the difference vectors from the first point."""
+    vs = [(p[0] - points[0][0], p[1] - points[0][1]) for p in points]
+    if all(v == (0, 0) for v in vs):
+        return 0
+    if all(u[0] * v[1] - u[1] * v[0] == 0 for u in vs for v in vs):
+        return 1
+    return 2
+
+
+def test_support_dimension_is_the_rank_of_differences():
+    rng = random.Random(20261019)
+    directions = [(1, 0), (0, 1), (1, 1), (2, 1), (1, -3), (-3, 5)]
+    seen = set()
+    for _ in range(300):
+        base = (rng.randint(-5, 5), rng.randint(-5, 5))
+        kind = rng.randrange(3)
+        if kind == 0:
+            pts = [base] * rng.randint(1, 3)
+        elif kind == 1:
+            d = rng.choice(directions)
+            pts = [(base[0] + t * d[0], base[1] + t * d[1])
+                   for t in (rng.randint(-4, 4) for _ in range(rng.randint(2, 6)))]
+        else:
+            pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 8))]
+        rng.shuffle(pts)
+        assert _support_dimension(pts) == _brute_rank(pts), pts
+        seen.add(_brute_rank(pts))
+    assert seen == {0, 1, 2}
+
+
+def test_canonicalize_collinear_matches_concave_envelope():
+    rng = random.Random(20261020)
+    for d in [(1, 0), (0, 1), (1, 1), (2, 1), (1, -3)]:
+        for _ in range(40):
+            base = (rng.randint(-3, 3), rng.randint(-3, 3))
+            ts = rng.sample(range(-5, 6), rng.randint(2, 7))
+            heights = {t: Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for t in ts}
+            f = TropicalPolynomial(
+                {(base[0] + t * d[0], base[1] + t * d[1]): a for t, a in heights.items()}
+            )
+            g = canonicalize(f)
+            for t, a in heights.items():
+                # the least concave function above the lifts: the largest of
+                # a point's own height and every chord over it
+                envelope = max(
+                    [a] + [heights[i] + (heights[j] - heights[i]) * Fraction(t - i, j - i)
+                           for i in ts for j in ts if i <= t <= j and i < j]
+                )
+                assert g.terms[(base[0] + t * d[0], base[1] + t * d[1])] == envelope
+            assert canonicalize(g) == g
+            for _ in range(5):
+                x = (Fraction(rng.randint(-20, 20), 4), Fraction(rng.randint(-20, 20), 4))
+                assert g.eval(x) == f.eval(x)
+
+
 def test_canonicalize_preserves_generic_coefficients():
     rng = random.Random(11)
     f = random_concave(standard_triangle(2), rng)

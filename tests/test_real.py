@@ -28,6 +28,7 @@ from tropico.real import (
     ZeroStep,
     _parity,
     _primitive_parity,
+    _triangle_welschinger_weight,
     _xor,
     curve_real_multiplicity,
     mu_real,
@@ -242,6 +243,41 @@ def test_even_interior_edge_kills_welschinger_product():
                     prod *= vertex_welschinger_sign(T)
                 assert prod == 0
     assert seen > 0
+
+
+def test_vertex_signs_of_decoded_curves_multiply_to_nu():
+    # Summed over the curves a path decodes to, the product of the vertex
+    # signs over each curve's triangles is nu_plus * nu_minus.  Per triangle
+    # the two signs may differ: (-1)^((m-1)/2) and (-1)^interior differ by
+    # the product of (-1)^((w-1)/2) over the side lengths w, and each
+    # interior chain of a curve meets two triangles, so within a curve the
+    # factors cancel.
+    cusp = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
+    orders = (DEFAULT, LinearOrder((2, 1), (1, -3)))
+    paths = differing = 0
+    for P in (standard_triangle(3), standard_triangle(4), grid_rectangle(3, 3), cusp):
+        s, _ = P.counts()
+        for order in orders:
+            for g in (-1, 0, 1):
+                for pts in enumerate_paths(P, order, s + g - 1):
+                    total = 0
+                    for c in decode(P, order, pts):
+                        prod = 1
+                        for T in c.subdivision.triangles():
+                            sign = vertex_welschinger_sign(T)
+                            a, b, cc = T.vertices
+                            differing += sign != _triangle_welschinger_weight(sub(b, a), sub(cc, b))
+                            prod *= sign
+                        total += prod
+                    nu = (nu_real_side(P, order, pts, Side.PLUS)
+                          * nu_real_side(P, order, pts, Side.MINUS))
+                    assert total == nu, (P, order, pts)
+                    paths += 1
+    assert paths == 8980
+    assert differing > 0
+    T = LatticePolygon([(0, 0), (1, 0), (1, 3)])
+    assert vertex_welschinger_sign(T) == -1
+    assert _triangle_welschinger_weight((1, 0), (0, 3)) == 1
 
 
 # -- curve-level real multiplicity ---------------------------------------------
