@@ -1,109 +1,82 @@
-"""Exact enumeration of plane tropical curves via increasing lattice paths."""
+"""Exact enumeration of plane tropical curves via increasing lattice paths.
 
-from .lattice import (
-    LatticePolygon,
-    LinearOrder,
-    NonInjectiveOrder,
-    ToricDegree,
-    boundary_chains,
-    convex_hull,
-    extremal_vertices,
-    grid_rectangle,
-    standard_triangle,
-    toric_degree,
-)
-from .paths import (
-    DecodedCurve,
-    DualSubdivision,
-    InvalidGenus,
-    MalformedSubdivision,
-    Side,
-    count,
-    decode,
-    enumerate_paths,
-    first_convex_vertex,
-    mu,
-    mu_side,
-)
-from .real import (
-    Chain,
-    IncompatibleGraph,
-    MarkedDualGraph,
-    SignedPath,
-    ZeroStep,
-    curve_real_multiplicity,
-    mu_real,
-    mu_real_side,
-    nu_real_side,
-    real_signed_count,
-    sign_class_of,
-    vertex_welschinger_sign,
-    welschinger_count,
-)
-from .curves import (
-    DegenerateSupport,
-    NotSimple,
-    ParallelDirections,
-    PlaneTropicalCurve,
-    TropicalPolynomial,
-    canonicalize,
-    check_balancing,
-    curve_of,
-    dual_subdivision,
-    genus_of_simple,
-    is_smooth,
-    marked_dual_graph,
-    vertex_multiplicity,
-)
+Each public name loads its submodule on first use (PEP 562), so a program
+that only counts never imports `curves`.
+"""
 
-__all__ = [
-    "LatticePolygon",
-    "LinearOrder",
-    "NonInjectiveOrder",
-    "ToricDegree",
-    "boundary_chains",
-    "convex_hull",
-    "extremal_vertices",
-    "grid_rectangle",
-    "standard_triangle",
-    "toric_degree",
-    "DecodedCurve",
-    "DualSubdivision",
-    "InvalidGenus",
-    "MalformedSubdivision",
-    "Side",
-    "count",
-    "decode",
-    "enumerate_paths",
-    "first_convex_vertex",
-    "mu",
-    "mu_side",
-    "Chain",
-    "IncompatibleGraph",
-    "MarkedDualGraph",
-    "SignedPath",
-    "ZeroStep",
-    "curve_real_multiplicity",
-    "mu_real",
-    "mu_real_side",
-    "nu_real_side",
-    "real_signed_count",
-    "sign_class_of",
-    "vertex_welschinger_sign",
-    "welschinger_count",
-    "DegenerateSupport",
-    "NotSimple",
-    "ParallelDirections",
-    "PlaneTropicalCurve",
-    "TropicalPolynomial",
-    "canonicalize",
-    "check_balancing",
-    "curve_of",
-    "dual_subdivision",
-    "genus_of_simple",
-    "is_smooth",
-    "marked_dual_graph",
-    "vertex_multiplicity",
-]
+_EXPORTS = {
+    "lattice": (
+        "LatticePolygon",
+        "LinearOrder",
+        "NonInjectiveOrder",
+        "ToricDegree",
+        "boundary_chains",
+        "convex_hull",
+        "extremal_vertices",
+        "grid_rectangle",
+        "standard_triangle",
+        "toric_degree",
+    ),
+    "paths": (
+        "DecodedCurve",
+        "DualSubdivision",
+        "InvalidGenus",
+        "MalformedSubdivision",
+        "Side",
+        "count",
+        "decode",
+        "enumerate_paths",
+        "first_convex_vertex",
+        "mu",
+        "mu_side",
+    ),
+    "real": (
+        "Chain",
+        "IncompatibleGraph",
+        "MarkedDualGraph",
+        "SignedPath",
+        "ZeroStep",
+        "curve_real_multiplicity",
+        "mu_real",
+        "mu_real_side",
+        "nu_real_side",
+        "real_signed_count",
+        "sign_class_of",
+        "vertex_welschinger_sign",
+        "welschinger_count",
+    ),
+    "curves": (
+        "DegenerateSupport",
+        "NotSimple",
+        "ParallelDirections",
+        "PlaneTropicalCurve",
+        "TropicalPolynomial",
+        "canonicalize",
+        "check_balancing",
+        "curve_of",
+        "dual_subdivision",
+        "genus_of_simple",
+        "is_smooth",
+        "marked_dual_graph",
+        "vertex_multiplicity",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `__import__`, unlike `importlib.import_module`, shows in `-X importtime`
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

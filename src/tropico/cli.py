@@ -16,15 +16,6 @@ import sys
 import zlib
 from math import comb
 
-from .curves import (
-    DegenerateSupport,
-    TropicalPolynomial,
-    check_balancing,
-    curve_of,
-    dual_subdivision,
-    genus_of_simple,
-    is_smooth,
-)
 from .lattice import (
     LatticePolygon,
     LinearOrder,
@@ -75,7 +66,10 @@ def _parse_polygon(text: str) -> LatticePolygon:
         raise InputError(f"bad polygon JSON: {exc}") from exc
 
 
-def _parse_poly(text: str) -> TropicalPolynomial:
+def _parse_poly(text: str):
+    """The `--poly` polynomial, a `curves.TropicalPolynomial`."""
+    from .curves import TropicalPolynomial
+
     raw = _read_source(text)
     try:
         return TropicalPolynomial.from_json(raw)
@@ -293,14 +287,21 @@ def _curve_svg(C, out_path: str) -> None:
 
 
 def cmd_curve(args) -> int:
+    # `curves` loads here only, so the counting commands never import it
+    from .curves import (DegenerateSupport, _curve_and_subdivision, check_balancing,
+                         genus_of_simple, is_smooth)
+
     f = _parse_poly(args.poly)
-    C = curve_of(f)
+    try:
+        C, sub_ = _curve_and_subdivision(f)
+    except DegenerateSupport as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     if not check_balancing(C):
         print("internal error: constructed curve is not balanced", file=sys.stderr)
         return 1
-    sub_ = dual_subdivision(f)
     doc = {
-        "newton_polygon": [list(v) for v in f.newton_polygon().vertices],
+        "newton_polygon": [list(v) for v in sub_.ambient.vertices],
         "curve": C.to_json_dict(),
         "dual_subdivision": sub_.to_json_dict(),
         "genus": genus_of_simple(sub_) if sub_.is_simple() else None,
@@ -421,7 +422,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (NonInjectiveOrder, InvalidGenus, DegenerateSupport) as exc:
+    except (NonInjectiveOrder, InvalidGenus) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:

@@ -11,15 +11,15 @@ marked graph consumed by the curve-level real multiplicity.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Mapping
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Sequence
 
 from .lattice import (
     LatticePoint,
     LatticePolygon,
     _coordinate,
+    _Record,
     convex_hull,
     cross,
     lattice_length,
@@ -113,12 +113,6 @@ class TropicalPolynomial:
         return cls(terms)
 
 
-def _support_dimension(points: Sequence[LatticePoint]) -> int:
-    """0 for one point, 1 for collinear points, 2 for a support with area:
-    `convex_hull` keeps one point of a point and the two ends of a segment."""
-    return min(len(convex_hull(points)), 3) - 1
-
-
 def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int]:
     """Integer heights obtained by clearing denominators; positive scaling
     leaves the upper-face structure unchanged."""
@@ -126,8 +120,7 @@ def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int
     return {j: int(a * scale) for j, a in f.terms.items()}, scale
 
 
-@dataclass(frozen=True)
-class _Face:
+class _Face(_Record):
     """One upper face of the lifted hull: the support points on it and the
     exact affine function x -> alpha*x1 + beta*x2 + gamma it lifts to."""
 
@@ -136,12 +129,17 @@ class _Face:
     beta: Fraction
     gamma: Fraction
 
+    def __init__(self, points: tuple[LatticePoint, ...], alpha: Fraction, beta: Fraction,
+                 gamma: Fraction):
+        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma)
+
     def value_at(self, j) -> Fraction:
         return self.alpha * j[0] + self.beta * j[1] + self.gamma
 
 
-def _upper_faces(f: TropicalPolynomial) -> list[_Face]:
-    """All 2-dimensional upper faces of the hull of lifted support points.
+def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Face]:
+    """All 2-dimensional upper faces of the hull of lifted support points;
+    `newton` is the support's `convex_hull`, which must span an area.
 
     Gift wrapping (Chand-Kapur) in integer arithmetic on the heights of
     `_scaled_heights`.  The walk starts from the upper edge that leaves the
@@ -151,8 +149,7 @@ def _upper_faces(f: TropicalPolynomial) -> list[_Face]:
     across on or below it, and its contact set is every lifted point on that
     plane.  A cell side with no point across lies on the Newton polygon's
     boundary.  Each crossing is one pass over the support, so the hull costs
-    O(faces * n).  Faces are deduplicated by contact set.  The support must
-    span an area.
+    O(faces * n).  Faces are deduplicated by contact set.
     """
     heights, scale = _scaled_heights(f)
     lifted = [(x, y, heights[x, y]) for x, y in sorted(heights)]
@@ -183,7 +180,7 @@ def _upper_faces(f: TropicalPolynomial) -> list[_Face]:
     # support point on the line to the next vertex lies on that side.  The
     # one of steepest lift starts an upper edge, with the polygon on its left.
     x0, y0, z0 = lifted[0]
-    v1 = convex_hull(heights)[1]
+    v1 = newton[1]
     d = (v1[0] - x0, v1[1] - y0)
 
     def slope(q) -> Fraction:
@@ -220,7 +217,7 @@ def _subdivision(f: TropicalPolynomial) -> tuple[list[_Face], DualSubdivision, d
     newton = convex_hull(f.terms)
     if len(newton) < 3:
         raise DegenerateSupport("support spans no area")
-    faces = _upper_faces(f)
+    faces = _upper_faces(f, newton)
     cells = tuple(LatticePolygon(convex_hull(face.points)) for face in faces)
     out = DualSubdivision(ambient=LatticePolygon(newton), cells=cells)
     return faces, out, out.validate_tiling()
@@ -239,11 +236,12 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     For a 2-dimensional support, a point on an upper face keeps its own
     height, and a sunken point takes the least of the face planes over it,
     which is the concave hull's value there."""
-    dim = _support_dimension(f.support())
-    if dim == 0:
+    # `convex_hull` keeps one point of a point and the two ends of a segment
+    newton = convex_hull(f.terms)
+    if len(newton) == 1:
         return TropicalPolynomial(f.terms)
-    if dim == 2:
-        faces = _upper_faces(f)
+    if len(newton) > 2:
+        faces = _upper_faces(f, newton)
         contact = {j for face in faces for j in face.points}
         new = dict(f.terms)
         for j in new:
@@ -253,8 +251,8 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)
     pts = f.support()
-    base = pts[0]
-    d = primitive(sub(max(pts), base))
+    base = newton[0]
+    d = primitive(sub(newton[1], base))
     idx = 0 if d[0] != 0 else 1
 
     def param(p: LatticePoint) -> int:
@@ -278,8 +276,7 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     })
 
 
-@dataclass(frozen=True)
-class PlaneTropicalCurve:
+class PlaneTropicalCurve(_Record):
     """A balanced weighted piecewise-linear curve in the plane.
 
     Vertices have exact rational coordinates.  A bounded edge is
@@ -290,6 +287,11 @@ class PlaneTropicalCurve:
     vertices: tuple[RationalPoint, ...]
     bounded_edges: tuple[tuple[int, int, int, LatticePoint], ...]
     rays: tuple[tuple[int, LatticePoint, int], ...]
+
+    def __init__(self, vertices: tuple[RationalPoint, ...],
+                 bounded_edges: tuple[tuple[int, int, int, LatticePoint], ...],
+                 rays: tuple[tuple[int, LatticePoint, int], ...]):
+        self.__dict__.update(vertices=vertices, bounded_edges=bounded_edges, rays=rays)
 
     def to_json_dict(self) -> dict:
         return {
@@ -314,6 +316,11 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     """The corner locus of f as a weighted graph dual to its subdivision:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
     boundary cell edge, weights equal to dual lattice lengths."""
+    return _curve_and_subdivision(f)[0]
+
+
+def _curve_and_subdivision(f: TropicalPolynomial) -> tuple[PlaneTropicalCurve, DualSubdivision]:
+    """`curve_of(f)` and `dual_subdivision(f)` from one `_subdivision`."""
     faces, sub_, emap = _subdivision(f)
     vertices: list[RationalPoint] = []
     for face in faces:
@@ -338,11 +345,12 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
             # the tiling check put this edge on a side; the ray is its outward normal
             s0, s1 = _ambient_side(sub_.ambient, a, b)
             rays.append((i, primitive((s1[1] - s0[1], s0[0] - s1[0])), w))
-    return PlaneTropicalCurve(
+    curve = PlaneTropicalCurve(
         vertices=tuple(vertices),
         bounded_edges=tuple(bounded),
         rays=tuple(rays),
     )
+    return curve, sub_
 
 
 def check_balancing(C: PlaneTropicalCurve) -> bool:

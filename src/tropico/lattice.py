@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Iterator, Sequence
 
 LatticePoint = tuple[int, int]
 
@@ -83,8 +82,43 @@ def convex_hull(points: Iterable[LatticePoint]) -> list[LatticePoint]:
     return hull
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class _Record:
+    """An immutable value whose fields are its class's annotations.
+
+    Two records are equal when they are of the same class and their fields
+    are; a record hashes as the tuple of its fields and prints as
+    `Name(field=value, ...)`, as a frozen dataclass does.  Each class binds
+    its fields in its own `__init__`, through `__dict__`; assigning or
+    deleting an attribute afterwards raises AttributeError.
+    """
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        get = operator.attrgetter(*cls._fields)
+        # attrgetter gives the bare value for one name, a tuple for several
+        cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == other._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LatticePolygon(_Record):
     """Strictly convex lattice polygon, vertices counterclockwise.
 
     Vertices may be given in any order; the canonical form starts at the
@@ -106,7 +140,7 @@ class LatticePolygon:
         if len(hull) != len(verts):
             extra = sorted(set(verts) - set(hull))
             raise ValueError(f"not vertices of a convex polygon: {extra}")
-        object.__setattr__(self, "vertices", tuple(hull))
+        self.__dict__["vertices"] = tuple(hull)
 
     # -- basic measures ----------------------------------------------------
 
@@ -210,8 +244,7 @@ def grid_rectangle(d1: int, d2: int) -> LatticePolygon:
     return LatticePolygon([(0, 0), (d1, 0), (d1, d2), (0, d2)])
 
 
-@dataclass(frozen=True)
-class LinearOrder:
+class LinearOrder(_Record):
     """Injective-when-needed order on Z^2: compare (primary.pt, tiebreak.pt)
     lexicographically."""
 
@@ -223,8 +256,7 @@ class LinearOrder:
         t = tuple(map(_coordinate, tiebreak))
         if len(p) != 2 or len(t) != 2:
             raise ValueError("order vectors must be 2-dimensional")
-        object.__setattr__(self, "primary", p)
-        object.__setattr__(self, "tiebreak", t)
+        self.__dict__.update(primary=p, tiebreak=t)
 
     def key(self, pt: LatticePoint) -> tuple[int, int]:
         return (
@@ -284,12 +316,14 @@ def boundary_chains(
     return plus, minus
 
 
-@dataclass(frozen=True)
-class ToricDegree:
+class ToricDegree(_Record):
     """Outward primitive normals of a polygon's sides with their lattice
     lengths.  The weighted normals always sum to zero."""
 
     entries: tuple[tuple[LatticePoint, int], ...]
+
+    def __init__(self, entries: tuple[tuple[LatticePoint, int], ...]):
+        self.__dict__["entries"] = entries
 
     def total(self) -> LatticePoint:
         x = sum(d[0] * w for d, w in self.entries)

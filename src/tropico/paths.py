@@ -55,13 +55,13 @@ import enum
 import itertools
 import json
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .lattice import (
     LatticePoint,
     LatticePolygon,
     LinearOrder,
+    _Record,
     add,
     boundary_chains,
     cross,
@@ -130,12 +130,14 @@ def _ambient_side(
     return P.sides()[(shared & -shared).bit_length() - 1]
 
 
-@dataclass(frozen=True)
-class DualSubdivision:
+class DualSubdivision(_Record):
     """A set of convex lattice cells tiling an ambient polygon."""
 
     ambient: LatticePolygon
     cells: tuple[LatticePolygon, ...]
+
+    def __init__(self, ambient: LatticePolygon, cells: tuple[LatticePolygon, ...]):
+        self.__dict__.update(ambient=ambient, cells=cells)
 
     def triangles(self) -> list[LatticePolygon]:
         return [c for c in self.cells if len(c.vertices) == 3]
@@ -189,8 +191,7 @@ class DualSubdivision:
         return {"cells": [{"vertices": [list(v) for v in c.vertices]} for c in self.cells]}
 
 
-@dataclass(frozen=True)
-class DecodedCurve:
+class DecodedCurve(_Record):
     """One curve encoded by a path: its dual subdivision, the subdivision
     edges dual to the path steps (in step order), and its weight."""
 
@@ -198,6 +199,11 @@ class DecodedCurve:
     path: LatticePath
     marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...]
     multiplicity: int
+
+    def __init__(self, subdivision: DualSubdivision, path: LatticePath,
+                 marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...], multiplicity: int):
+        self.__dict__.update(subdivision=subdivision, path=path, marked_edges=marked_edges,
+                             multiplicity=multiplicity)
 
     def genus(self) -> int:
         s, _ = self.subdivision.ambient.counts()

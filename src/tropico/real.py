@@ -31,12 +31,11 @@ only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Mapping, Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Callable, Mapping, Sequence
 
-from .lattice import LatticePoint, LatticePolygon, LinearOrder, cross, sub
+from .lattice import LatticePoint, LatticePolygon, LinearOrder, _Record, cross, sub
 from .paths import LatticePath, Side, _check_path, _context, _steps_for_genus, _total
 
 # A sign class: the two quadrant signs from Z2 x Z2 that a curve edge cannot
@@ -155,18 +154,16 @@ def _combine(sa: SignClass, va: LatticePoint, sb: SignClass, vb: LatticePoint,
     return [(weight, _class_of_nibble(c)) for weight, c in alts]
 
 
-@dataclass(frozen=True)
-class SignedPath:
+class SignedPath(_Record):
     """A lattice path together with one sign class per step."""
 
     path: LatticePath
     signs: tuple[SignClass, ...]
 
-    def __post_init__(self):
-        pts = tuple(tuple(p) for p in self.path)
-        signs = tuple(frozenset(s) for s in self.signs)
-        object.__setattr__(self, "path", pts)
-        object.__setattr__(self, "signs", signs)
+    def __init__(self, path: Sequence[LatticePoint], signs: Sequence[SignClass]):
+        pts = tuple(tuple(p) for p in path)
+        signs = tuple(frozenset(s) for s in signs)
+        self.__dict__.update(path=pts, signs=signs)
         if len(signs) != len(pts) - 1:
             raise ValueError("need exactly one sign class per path step")
         for j, cls in enumerate(signs):
@@ -294,8 +291,7 @@ EdgeKey = tuple[LatticePoint, LatticePoint]
 Terminal = tuple
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(_Record):
     """A maximal run of parallel subdivision edges joined through
     parallelogram crossings; dual to one straight piece of curve."""
 
@@ -304,12 +300,15 @@ class Chain:
     weight: int
     direction: LatticePoint
 
+    def __init__(self, edges: tuple[EdgeKey, ...], terminals: tuple[Terminal, Terminal],
+                 weight: int, direction: LatticePoint):
+        self.__dict__.update(edges=edges, terminals=terminals, weight=weight, direction=direction)
+
     def vector(self) -> LatticePoint:
         return sub(self.edges[0][1], self.edges[0][0])
 
 
-@dataclass(frozen=True)
-class MarkedDualGraph:
+class MarkedDualGraph(_Record):
     """Combinatorial dual of a decoded subdivision: a trivalent node per
     triangle, a crossing per parallelogram, chains of dual edges, one end
     per boundary edge, and the path steps as marked edges."""
@@ -318,6 +317,10 @@ class MarkedDualGraph:
     crossings: tuple[LatticePolygon, ...]
     chains: tuple[Chain, ...]
     marked: tuple[EdgeKey, ...]
+
+    def __init__(self, triangles: tuple[LatticePolygon, ...], crossings: tuple[LatticePolygon, ...],
+                 chains: tuple[Chain, ...], marked: tuple[EdgeKey, ...]):
+        self.__dict__.update(triangles=triangles, crossings=crossings, chains=chains, marked=marked)
 
     def chain_of(self, edge: EdgeKey) -> int:
         for i, c in enumerate(self.chains):

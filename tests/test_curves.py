@@ -23,7 +23,6 @@ from tropico.curves import (
     TropicalPolynomial,
     _Face,
     _scaled_heights,
-    _support_dimension,
     _upper_faces,
     canonicalize,
     check_balancing,
@@ -223,7 +222,7 @@ def _hull_lifts(P, rng):
     # a sparse support: the points left out make side midpoints of the
     # cells, and the low heights sink points below the hull
     kept = [j for j in pts if rng.random() < 0.6]
-    if len(kept) >= 3 and _support_dimension(kept) == 2:
+    if len(convex_hull(kept)) >= 3:
         yield "sparse", TropicalPolynomial(
             {j: Fraction(rng.randint(-12, 3), rng.randint(1, 3)) for j in kept}
         )
@@ -238,7 +237,7 @@ def test_upper_faces_match_triple_enumeration():
     for P in _HULL_POLYGONS:
         for _ in range(2):
             for kind, f in _hull_lifts(P, rng):
-                faces = _upper_faces(f)
+                faces = _upper_faces(f, convex_hull(f.terms))
                 reference = _reference_upper_faces(f)
                 assert faces == reference, (kind, P.vertices)
                 assert canonicalize(f) == TropicalPolynomial(
@@ -299,6 +298,8 @@ def _brute_rank(points):
 
 
 def test_support_dimension_is_the_rank_of_differences():
+    # `canonicalize` and `_subdivision` read the support's dimension from the
+    # size of its `convex_hull`: one point, the two ends of a segment, or more
     rng = random.Random(20261019)
     directions = [(1, 0), (0, 1), (1, 1), (2, 1), (1, -3), (-3, 5)]
     seen = set()
@@ -314,7 +315,7 @@ def test_support_dimension_is_the_rank_of_differences():
         else:
             pts = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 8))]
         rng.shuffle(pts)
-        assert _support_dimension(pts) == _brute_rank(pts), pts
+        assert min(len(convex_hull(pts)), 3) - 1 == _brute_rank(pts), pts
         seen.add(_brute_rank(pts))
     assert seen == {0, 1, 2}
 
