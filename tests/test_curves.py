@@ -14,7 +14,7 @@ from tropico.lattice import (
     standard_triangle,
     toric_degree,
 )
-from tropico.paths import DualSubdivision, DecodedCurve, decode, enumerate_paths, mu
+from tropico.paths import DualSubdivision, DecodedCurve, MalformedSubdivision, decode, enumerate_paths, mu
 from tropico.curves import (
     DegenerateSupport,
     NotSimple,
@@ -536,6 +536,34 @@ def test_marked_dual_graph_rejects_non_simple():
     fake = DecodedCurve(D, ((0, 0), (2, 0)), (), 1)
     with pytest.raises(NotSimple):
         marked_dual_graph(fake)
+
+
+def test_marked_dual_graph_rejects_a_mark_off_the_subdivision():
+    P = standard_triangle(2)
+    pts = next(iter(enumerate_paths(P, DEFAULT, 5)))
+    (c,) = decode(P, DEFAULT, pts)
+    marked_dual_graph(c)
+    stray = DecodedCurve(c.subdivision, c.path, c.marked_edges[:2] + (((2, 0), (0, 0)),), 1)
+    with pytest.raises(MalformedSubdivision, match=r"^marked step \(2, 0\)-\(0, 0\) is not a subdivision edge$"):
+        marked_dual_graph(stray)
+
+
+def test_marked_dual_graph_counts_chain_slots(monkeypatch):
+    # Through an edge map that `validate_tiling` accepts, every triangle
+    # ends exactly three chains; an edge map short of one triangle edge
+    # leaves that triangle with two.
+    validate = DualSubdivision.validate_tiling
+
+    def short_edge_map(self):
+        edges = validate(self)
+        del edges[((0, 0), (1, 0))]
+        return edges
+
+    P = standard_triangle(1)
+    (c,) = decode(P, DEFAULT, ((0, 1), (0, 0), (1, 0)))
+    monkeypatch.setattr(DualSubdivision, "validate_tiling", short_edge_map)
+    with pytest.raises(MalformedSubdivision, match=r"^triangle 0 has 2 chain slots, expected 3$"):
+        marked_dual_graph(c)
 
 
 def test_decoded_graph_chains_carry_step_marks():

@@ -1,8 +1,10 @@
 """Increasing lattice paths, their multiplicities and decoded curves."""
 
+import gc
 import itertools
 import json
 import random
+import weakref
 from math import gcd
 
 import pytest
@@ -322,6 +324,21 @@ def test_context_cache_stays_bounded():
     for g in range(-1, 4):
         assert count(P, g) == count(P, g, random_order(rng))
         assert paths._context(P, DEFAULT) is ctx
+
+
+def test_decoded_cells_leave_with_their_context():
+    # decoded cells live in their context's memo, so a long session that
+    # decodes under ever new orders keeps only the last contexts' cells
+    rng = random.Random(16)
+    P = standard_triangle(3)
+    pts = ((0, 3), (0, 2), (0, 1), (1, 2), (1, 1), (1, 0), (2, 1), (2, 0), (3, 0))
+    cell = weakref.ref(decode(P, DEFAULT, pts)[0].subdivision.cells[0])
+    gc.collect()
+    assert cell() is not None
+    for _ in range(paths._CONTEXTS_KEPT):
+        assert count(P, 0, random_order(rng)) == 12
+    gc.collect()
+    assert cell() is None
 
 
 # -- the walk: every path's rows, in enumeration order ----------------------

@@ -2,8 +2,10 @@
 and the curve-level real multiplicity, cross-checked against a brute-force
 phase enumeration on decoded curves."""
 
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 from conftest import random_order
@@ -19,7 +21,7 @@ from tropico.lattice import (
     standard_triangle,
     sub,
 )
-from tropico.paths import Side, _edge_key, decode, enumerate_paths, mu, mu_side
+from tropico.paths import Side, _edge_key, count, decode, enumerate_paths, mu, mu_side
 from tropico.real import (
     Chain,
     IncompatibleGraph,
@@ -441,6 +443,83 @@ def test_curve_real_multiplicity_validates_signs():
     bad[first] = frozenset({(0, 0), (1, 1), (0, 1)})
     with pytest.raises(ValueError):
         curve_real_multiplicity(G, bad)
+
+
+def test_curve_real_multiplicity_sign_messages():
+    P = standard_triangle(2)
+    pts = next(iter(enumerate_paths(P, DEFAULT, 5)))
+    (c,) = decode(P, DEFAULT, pts)
+    G = marked_dual_graph(c)
+    signs = _graph_signs(pts, [(0, 0)] * 5)
+    needed = "need a sign class for exactly the marked edges"
+    for wrong in ({}, dict(list(signs.items())[1:]), {**signs, ((0, 0), (2, 0)): frozenset({(0, 0)})}):
+        with pytest.raises(ValueError, match=f"^{needed}$"):
+            curve_real_multiplicity(G, wrong)
+    # the first edge, in the order of `signs`, whose class does not fit
+    first, second = list(signs)[:2]
+    for cls in ({(0, 0), (1, 1), (0, 1)}, set(), {(0, 0)}, {(0, 0), (0, 2)}):
+        bad = dict(signs)
+        bad[second] = frozenset(cls)
+        bad[first] = frozenset({(0, 0), (1, 1), (1, 0)})
+        message = f"sign class {set(bad[first])} does not fit edge {first}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            curve_real_multiplicity(G, bad)
+    assert message == "sign class {(1, 0), (1, 1), (0, 0)} does not fit edge ((0, 1), (0, 2))"
+    bad = dict(signs)
+    bad[second] = frozenset({(0, 0), (0, 2)})
+    message = f"sign class {set(bad[second])} does not fit edge {second}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        curve_real_multiplicity(G, bad)
+
+
+# Taken from the decoded quartics before decoded cells were shared per
+# context: the repr of every marked dual graph, the decoded multiplicity and
+# the curve-level real multiplicity, in path and curve order.
+_QUARTIC_PIPELINE_DIGEST = (952, "967ea3c7fd5942cce2c204f8b5e0af8a3fe1ea2444e7f84d93607e0134608fb3")
+
+
+def test_quartic_pipeline_output_is_pinned():
+    h = hashlib.sha256()
+    curves = 0
+    for order in (DEFAULT, LinearOrder((2, -1), (1, 3))):
+        for g in (0, 1):
+            P = standard_triangle(4)
+            n = 11 + g
+            choice = [QUADRANTS[(3 * k + g) % 4] for k in range(n)]
+            for pts in enumerate_paths(P, order, n):
+                signs = _graph_signs(pts, choice)
+                for c in decode(P, order, pts):
+                    G = marked_dual_graph(c)
+                    m = curve_real_multiplicity(G, signs)
+                    h.update(f"{G!r}|{c.multiplicity}|{m}\n".encode())
+                    curves += 1
+    assert (curves, h.hexdigest()) == _QUARTIC_PIPELINE_DIGEST
+
+
+@pytest.mark.parametrize("P, g, total, curves", [
+    (standard_triangle(5), 3, 7915, 2496),
+    (grid_rectangle(3, 3), 0, 4115, 2033),
+])
+def test_curve_level_identity_one_size_up(P, g, total, curves):
+    # every decoded curve of the cell under one seeded order and sign vector:
+    # the decoded multiplicities add up to the count, the curve-level real
+    # multiplicities to the signed count
+    rng = random.Random(f"{P.vertices}:{g}")
+    order = random_order(rng)
+    s, _ = P.counts()
+    n = s + g - 1
+    choice = [rng.choice(QUADRANTS) for _ in range(n)]
+    decoded = mult = real = 0
+    for pts in enumerate_paths(P, order, n):
+        if not mu(P, order, pts):
+            continue
+        signs = _graph_signs(pts, choice)
+        for c in decode(P, order, pts):
+            decoded += 1
+            mult += c.multiplicity
+            real += curve_real_multiplicity(marked_dual_graph(c), signs)
+    assert (decoded, mult) == (curves, total) == (curves, count(P, g, order))
+    assert real == real_signed_count(P, g, order, choice)
 
 
 # -- synthetic graphs ------------------------------------------------------------
