@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .lattice import (
     LatticePoint,
     LatticePolygon,
     _coordinate,
+    _edge_key,
     _Record,
     convex_hull,
     cross,
@@ -26,7 +27,7 @@ from .lattice import (
     primitive,
     sub,
 )
-from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision, _ambient_side, _edge_key
+from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision, _ambient_side
 from .real import Chain, EdgeKey, MarkedDualGraph
 
 RationalPoint = tuple[Fraction, Fraction]
@@ -399,42 +400,40 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
 
     Chains collect runs of parallel subdivision edges joined across
     parallelogram cells (the dual curve passes straight through those);
-    each chain ends either at a triangle node or at a boundary end.
+    each chain ends either at a triangle node or at a boundary end.  The
+    cells' edges and opposite sides are read from the cells, which compute
+    them once.
     """
     sub_ = D.subdivision
     emap = sub_.validate_tiling()
     if not sub_.is_simple():
         raise NotSimple("decoded subdivision has a cell that is not simple")
-    cells = sub_.cells
     triangles: list[LatticePolygon] = []
     crossings: list[LatticePolygon] = []
-    tri_of_cell: dict[int, int] = {}
-    for i, c in enumerate(cells):
+    # the terminal of a chain that runs into cell i, None for a parallelogram
+    terminal: list[tuple | None] = []
+    passthrough: dict[tuple[EdgeKey, int], EdgeKey] = {}
+    for i, c in enumerate(sub_.cells):
         if len(c.vertices) == 3:
-            tri_of_cell[i] = len(triangles)
+            terminal.append(("tri", len(triangles)))
             triangles.append(c)
         else:
+            terminal.append(None)
             crossings.append(c)
-
-    passthrough: dict[tuple[EdgeKey, int], EdgeKey] = {}
-    for i, c in enumerate(cells):
-        if len(c.vertices) != 4:
-            continue
-        a, b, cc, d = c.vertices
-        for e1, e2 in (((a, b), (d, cc)), ((b, cc), (a, d))):
-            k1, k2 = _edge_key(*e1), _edge_key(*e2)
-            passthrough[(k1, i)] = k2
-            passthrough[(k2, i)] = k1
+            for k1, k2 in c._opposite_edge_keys:
+                passthrough[k1, i] = k2
+                passthrough[k2, i] = k1
+    end = ("end",)
 
     def extend(start: EdgeKey, cell: int | None):
         run: list[EdgeKey] = []
         cur_e, cur_c = start, cell
         while True:
             if cur_c is None:
-                return run, ("end",)
-            if cur_c in tri_of_cell:
-                return run, ("tri", tri_of_cell[cur_c])
-            nxt = passthrough[(cur_e, cur_c)]
+                return run, end
+            if terminal[cur_c] is not None:
+                return run, terminal[cur_c]
+            nxt = passthrough[cur_e, cur_c]
             if nxt == start or nxt in run:
                 raise MalformedSubdivision("cycle of parallelogram crossings")
             run.append(nxt)
@@ -443,34 +442,32 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
 
     chains: list[Chain] = []
     assigned: set[EdgeKey] = set()
-    slot_count: dict[int, int] = {}
+    slots = [0] * len(triangles)
     for e in sorted(emap):
         if e in assigned:
             continue
         incident = emap[e]
         left_cell = incident[0]
         right_cell = incident[1] if len(incident) == 2 else None
-        left_run, left_term = extend(e, left_cell)
-        right_run, right_term = extend(e, right_cell)
-        edges = tuple(reversed(left_run)) + (e,) + tuple(right_run)
-        assigned.update(edges)
-        v = sub(e[1], e[0])
-        chains.append(
-            Chain(
-                edges=edges,
-                terminals=(left_term, right_term),
-                weight=lattice_length(v),
-                direction=primitive((-v[1], v[0])),
-            )
-        )
+        left_term = terminal[left_cell]
+        right_term = end if right_cell is None else terminal[right_cell]
+        if left_term and right_term:
+            edges = (e,)
+        else:
+            left_run, left_term = extend(e, left_cell)
+            right_run, right_term = extend(e, right_cell)
+            edges = (*reversed(left_run), e, *right_run)
+            assigned.update(edges)
+        (ax, ay), (bx, by) = e
+        vx, vy = bx - ax, by - ay
+        w = gcd(vx, vy)
+        chains.append(Chain(edges, (left_term, right_term), w, (-vy // w, vx // w)))
         for t in (left_term, right_term):
-            if t[0] == "tri":
-                slot_count[t[1]] = slot_count.get(t[1], 0) + 1
-    for t in range(len(triangles)):
-        if slot_count.get(t, 0) != 3:
-            raise MalformedSubdivision(
-                f"triangle {t} has {slot_count.get(t, 0)} chain slots, expected 3"
-            )
+            if t is not end:
+                slots[t[1]] += 1
+    for t, k in enumerate(slots):
+        if k != 3:
+            raise MalformedSubdivision(f"triangle {t} has {k} chain slots, expected 3")
 
     marked = []
     for a, b in D.marked_edges:

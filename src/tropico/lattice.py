@@ -56,6 +56,11 @@ def primitive(v: LatticePoint) -> LatticePoint:
     return (v[0] // g, v[1] // g)
 
 
+def _edge_key(a: LatticePoint, b: LatticePoint) -> tuple[LatticePoint, LatticePoint]:
+    """The segment a-b undirected: its ends in ascending order."""
+    return (a, b) if a <= b else (b, a)
+
+
 def convex_hull(points: Iterable[LatticePoint]) -> list[LatticePoint]:
     """Convex hull in counterclockwise order, collinear points dropped.
 
@@ -143,10 +148,36 @@ class LatticePolygon(_Record):
         self.__dict__["vertices"] = tuple(hull)
 
     # -- basic measures ----------------------------------------------------
+    #
+    # A polygon's derived data is computed once, on first use, and kept in
+    # the instance `__dict__` by `cached_property`; it is not a field, so
+    # equality, hash and repr do not see it.  A subdivision reads its cells'
+    # areas and edges through it, and the decoded cells of a path are shared
+    # by all the curves that contain them.
+
+    @cached_property
+    def _double_area(self) -> int:
+        v = self.vertices
+        return sum(map(cross, v, v[1:] + v[:1]))
 
     def double_area(self) -> int:
+        return self._double_area
+
+    @cached_property
+    def _edge_keys(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
+        """The sides as undirected edges (`_edge_key`), in `sides()` order."""
         v = self.vertices
-        return sum(cross(v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+        return tuple(map(_edge_key, v, v[1:] + v[:1]))
+
+    @cached_property
+    def _opposite_edge_keys(self) -> tuple | None:
+        """For a parallelogram, its two pairs of opposite sides as undirected
+        edges; None for any other polygon."""
+        v = self.vertices
+        if len(v) != 4 or sub(v[1], v[0]) != sub(v[2], v[3]):
+            return None
+        k = self._edge_keys
+        return ((k[0], k[2]), (k[1], k[3]))
 
     def sides(self) -> list[tuple[LatticePoint, LatticePoint]]:
         v = self.vertices

@@ -110,15 +110,6 @@ def first_convex_vertex(path: Sequence[LatticePoint], side: Side) -> int | None:
     return None
 
 
-def _is_parallelogram(cell: LatticePolygon) -> bool:
-    v = cell.vertices
-    return len(v) == 4 and sub(v[1], v[0]) == sub(v[2], v[3])
-
-
-def _edge_key(a: LatticePoint, b: LatticePoint) -> tuple[LatticePoint, LatticePoint]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _ambient_side(
     P: LatticePolygon, a: LatticePoint, b: LatticePoint
 ) -> tuple[LatticePoint, LatticePoint] | None:
@@ -143,18 +134,21 @@ class DualSubdivision(_Record):
         return [c for c in self.cells if len(c.vertices) == 3]
 
     def parallelograms(self) -> list[LatticePolygon]:
-        return [c for c in self.cells if _is_parallelogram(c)]
+        return [c for c in self.cells if c._opposite_edge_keys is not None]
 
     def is_simple(self) -> bool:
         """True when every cell is a triangle or a parallelogram."""
-        return all(len(c.vertices) == 3 or _is_parallelogram(c) for c in self.cells)
+        return all(len(c.vertices) == 3 or c._opposite_edge_keys is not None for c in self.cells)
 
     def edge_map(self) -> dict[tuple[LatticePoint, LatticePoint], list[int]]:
         """Map from undirected cell edge to the indices of its incident cells."""
         edges: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
         for i, c in enumerate(self.cells):
-            for a, b in c.sides():
-                edges.setdefault(_edge_key(a, b), []).append(i)
+            for e in c._edge_keys:
+                if e in edges:
+                    edges[e].append(i)
+                else:
+                    edges[e] = [i]
         return edges
 
     def interior_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
@@ -168,23 +162,29 @@ class DualSubdivision(_Record):
         edge-to-edge (area match, every edge shared by two cells or lying on
         the ambient boundary); return the edge map it checked.
 
-        Each cell vertex is looked up once in the ambient's `side_bits`: an
-        edge is on the boundary when both ends lie on one side, and a cell is
-        inside when none of its vertices is outside."""
-        if sum(c.double_area() for c in self.cells) != self.ambient.double_area():
+        The cells' areas and edges are computed once per cell.  Each cell
+        vertex is looked up once in the ambient's `side_bits`: an edge is on
+        the boundary when both ends lie on one side, and the cells are inside
+        when none of their vertices is outside."""
+        cells, ambient = self.cells, self.ambient
+        if sum(c.double_area() for c in cells) != ambient.double_area():
             raise MalformedSubdivision("cell areas do not add up to the ambient area")
         edges = self.edge_map()
+        bits = {}
+        for c in cells:
+            for v in c.vertices:
+                if v not in bits:
+                    bits[v] = ambient.side_bits(v)
         for (a, b), cs in edges.items():
             if len(cs) > 2:
                 raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            on_boundary = _ambient_side(self.ambient, a, b) is not None
+            on_boundary = (bits[a] or 0) & (bits[b] or 0)
             if len(cs) == 1 and not on_boundary:
                 raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
             if len(cs) == 2 and on_boundary:
                 raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
-        for c in self.cells:
-            if any(self.ambient.side_bits(v) is None for v in c.vertices):
-                raise MalformedSubdivision("cell sticks out of the ambient polygon")
+        if None in bits.values():
+            raise MalformedSubdivision("cell sticks out of the ambient polygon")
         return edges
 
     def to_json_dict(self) -> dict:
@@ -217,8 +217,8 @@ class DecodedCurve(_Record):
 
 class _Context:
     """Per-(polygon, order) cache: the lattice points in order with their
-    coordinates and turn signs by index, the boundary chains as masks, and
-    one recursion memo per (step rule, side)."""
+    coordinates and turn signs by index, the boundary chains as masks, one
+    recursion memo per (step rule, side), and the decoded cells."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         self.p, self.q = extremal_vertices(P, order)
@@ -232,6 +232,17 @@ class _Context:
         self.alpha = {side: sum(map(self.bit.__getitem__, chain)) for side, chain in chains}
         self.steps = {side: alpha.bit_count() - 1 for side, alpha in self.alpha.items()}
         self._memos: defaultdict[tuple, dict] = defaultdict(dict)
+        self._cells: dict[tuple[LatticePoint, ...], LatticePolygon] = {}
+
+    def cell(self, *corners: LatticePoint) -> LatticePolygon:
+        """The decoded cell with these corners, one object per distinct cell
+        of the context, so the curves that share a cell share its derived
+        data too."""
+        key = tuple(sorted(corners))
+        cell = self._cells.get(key)
+        if cell is None:
+            cell = self._cells[key] = LatticePolygon(corners)
+        return cell
 
     def _convex_rows(self, want: int) -> list[list[int]]:
         """rows[a][b] has bit c set, for a < b < c, when the corner
@@ -455,11 +466,11 @@ def _leaves(ctx: _Context, m: int, side: Side) -> tuple[tuple[int, tuple], ...]:
         a, b, u, v, dropped, mirror, _ = step
         a, b = ctx.points[a], ctx.points[b]
         c = add(b, v)
-        tri = LatticePolygon([a, b, c])
+        tri = ctx.cell(a, b, c)
         area2 = abs(cross(u, v))
         out = [(w * area2, cells + (tri,)) for w, cells in _leaves(ctx, dropped, side)]
         if mirror is not None:
-            par = LatticePolygon([a, b, c, add(a, v)])
+            par = ctx.cell(a, b, c, add(a, v))
             out += [(w, cells + (par,)) for w, cells in _leaves(ctx, dropped | mirror, side)]
         val = tuple(out)
     memo[m] = val

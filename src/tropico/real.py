@@ -105,6 +105,28 @@ def _is_class_of(step: LatticePoint, cls: SignClass) -> bool:
     return bool(cls) and sign_class_of(step, next(iter(cls))) == cls
 
 
+# The classes modulo each primitive parity, by its index: the two classes a
+# step of that primitive parity can carry, with their nibbles.
+_FITTING = {
+    pp: {_class_of_nibble(n): n for n in {_class_nibble(t, pp) for t in range(4)}}
+    for pp in (1, 2, 3)
+}
+
+
+def _fitting_nibble(step: LatticePoint, cls: SignClass) -> int | None:
+    """The nibble of cls when it is a sign class of the step (`_is_class_of`),
+    else None.  A class of a nonzero step is looked up among the two
+    classes modulo the step's primitive parity; `_is_class_of` rules on the
+    rest, and raises where it raises."""
+    x, y = step
+    g = gcd(x, y)
+    if g:
+        nibble = _FITTING[(x // g & 1) << 1 | y // g & 1].get(cls)
+        if nibble is not None:
+            return nibble
+    return _nibble(cls) if _is_class_of(step, cls) else None
+
+
 def _pack(classes, m: int) -> int:
     """Step sign classes packed by point slot: the class of each step of
     the path mask m at bits 4i..4i+3 of the point i the step leaves."""
@@ -335,15 +357,15 @@ def _pieces(G: MarkedDualGraph, marked: set) -> list[tuple[Terminal, Terminal, L
     the pieces on either side of it."""
     pieces = []
     for chain in G.chains:
-        stops = [chain.terminals[0], *(("mark", e) for e in chain.edges if e in marked),
-                 chain.terminals[1]]
-        pieces += [(a, b, chain.vector()) for a, b in zip(stops, stops[1:])]
+        (a, b), ((x0, y0), (x1, y1)) = chain.terminals, chain.edges[0]
+        v = (x1 - x0, y1 - y0)
+        for e in chain.edges:
+            if e in marked:
+                cut = ("mark", e)
+                pieces.append((a, cut, v))
+                a = cut
+        pieces.append((a, b, v))
     return pieces
-
-
-def _far(piece: tuple[Terminal, Terminal, LatticePoint], near: Terminal) -> Terminal:
-    """The terminal of a piece at the other side from near."""
-    return piece[1] if piece[0] == near else piece[0]
 
 
 def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClass]) -> int:
@@ -360,17 +382,23 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
     marked = set(G.marked)
     if set(signs) != marked:
         raise ValueError("need a sign class for exactly the marked edges")
+    nibbles = {}
     for e, cls in signs.items():
-        if not _is_class_of(sub(e[1], e[0]), frozenset(cls)):
+        nibble = _fitting_nibble(sub(e[1], e[0]), frozenset(cls))
+        if nibble is None:
             raise ValueError(f"sign class {set(cls)} does not fit edge {e}")
-    nibbles = {e: _nibble(cls) for e, cls in signs.items()}
+        nibbles[e] = nibble
     pieces = _pieces(G, marked)
     legs: dict[int, list[int]] = {}
     for i, (a, b, _) in enumerate(pieces):
         for t in (a, b):
             if t[0] == "tri":
-                legs.setdefault(t[1], []).append(i)
+                if t[1] in legs:
+                    legs[t[1]].append(i)
+                else:
+                    legs[t[1]] = [i]
     seen: set[int] = set()
+    end = ("end",)
 
     def fold(i: int, far: Terminal) -> dict[int, int]:
         """The class distribution carried up piece i from its far terminal."""
@@ -378,18 +406,27 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
             return {nibbles[far[1]]: 1}
         if far[0] == "end":
             raise IncompatibleGraph("component has 2 ends, expected exactly 1")
-        below = list(legs[far[1]])
+        below = legs[far[1]].copy()
         below.remove(i)
         if len(below) != 2:
             raise IncompatibleGraph("trivalent node without exactly three legs")
-        if seen.intersection(below):
-            raise IncompatibleGraph("component is not a tree")
-        seen.update(below)
         ja, jb = below
-        da = fold(ja, _far(pieces[ja], far))
-        db = fold(jb, _far(pieces[jb], far))
-        pa, pb = _index(pieces[ja][2]), _index(pieces[jb][2])
-        pm = _primitive_index(pieces[i][2])
+        if ja in seen or jb in seen:
+            raise IncompatibleGraph("component is not a tree")
+        seen.add(ja)
+        seen.add(jb)
+        a, b = pieces[ja], pieces[jb]
+        fa = a[1] if a[0] == far else a[0]
+        fb = b[1] if b[0] == far else b[0]
+        # a mark leaf carries its own class
+        da = {nibbles[fa[1]]: 1} if fa[0] == "mark" else fold(ja, fa)
+        db = {nibbles[fb[1]]: 1} if fb[0] == "mark" else fold(jb, fb)
+        # the parity indices of the legs' vectors and the primitive parity
+        # index of the vector above
+        (ax, ay), (bx, by), (mx, my) = a[2], b[2], pieces[i][2]
+        pa, pb = (ax & 1) << 1 | ay & 1, (bx & 1) << 1 | by & 1
+        g = gcd(mx, my)
+        pm = (mx // g & 1) << 1 | my // g & 1
         out: dict[int, int] = {}
         for ca, wa in da.items():
             for cb, wb in db.items():
@@ -398,10 +435,10 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
         return out
 
     total = 1
-    for i, piece in enumerate(pieces):
-        if ("end",) in piece[:2]:
+    for i, (a, b, _) in enumerate(pieces):
+        if a == end or b == end:
             seen.add(i)
-            total *= sum(fold(i, _far(piece, ("end",))).values())
+            total *= sum(fold(i, b if a == end else a).values())
     if len(seen) != len(pieces):
         raise IncompatibleGraph("component has 0 ends, expected exactly 1")
     return total

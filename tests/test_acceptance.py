@@ -12,6 +12,7 @@ from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
     NonInjectiveOrder,
+    _edge_key,
     grid_rectangle,
     lattice_length,
     standard_triangle,
@@ -20,7 +21,6 @@ from tropico.lattice import (
 )
 from tropico.paths import (
     Side,
-    _edge_key,
     count,
     decode,
     enumerate_paths,

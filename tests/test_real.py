@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
+    _edge_key,
     grid_rectangle,
     lattice_length,
     primitive,
     standard_triangle,
     sub,
 )
-from tropico.paths import Side, _edge_key, count, decode, enumerate_paths, mu, mu_side
+from tropico.paths import Side, count, decode, enumerate_paths, mu, mu_side
 from tropico.real import (
     Chain,
     IncompatibleGraph,
