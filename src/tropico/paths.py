@@ -145,10 +145,7 @@ class DualSubdivision(_Record):
         edges: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
         for i, c in enumerate(self.cells):
             for e in c._edge_keys:
-                if e in edges:
-                    edges[e].append(i)
-                else:
-                    edges[e] = [i]
+                edges.setdefault(e, []).append(i)
         return edges
 
     def interior_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:

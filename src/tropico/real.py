@@ -393,10 +393,7 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
     for i, (a, b, _) in enumerate(pieces):
         for t in (a, b):
             if t[0] == "tri":
-                if t[1] in legs:
-                    legs[t[1]].append(i)
-                else:
-                    legs[t[1]] = [i]
+                legs.setdefault(t[1], []).append(i)
     seen: set[int] = set()
     end = ("end",)
 
@@ -416,11 +413,8 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
         seen.add(ja)
         seen.add(jb)
         a, b = pieces[ja], pieces[jb]
-        fa = a[1] if a[0] == far else a[0]
-        fb = b[1] if b[0] == far else b[0]
-        # a mark leaf carries its own class
-        da = {nibbles[fa[1]]: 1} if fa[0] == "mark" else fold(ja, fa)
-        db = {nibbles[fb[1]]: 1} if fb[0] == "mark" else fold(jb, fb)
+        da = fold(ja, a[1] if a[0] == far else a[0])
+        db = fold(jb, b[1] if b[0] == far else b[0])
         # the parity indices of the legs' vectors and the primitive parity
         # index of the vector above
         (ax, ay), (bx, by), (mx, my) = a[2], b[2], pieces[i][2]
