@@ -436,36 +436,21 @@ def test_curve_real_multiplicity_validates_signs():
     pts = next(iter(enumerate_paths(P, DEFAULT, 5)))
     (c,) = decode(P, DEFAULT, pts)
     G = marked_dual_graph(c)
-    with pytest.raises(ValueError):
-        curve_real_multiplicity(G, {})
     signs = _graph_signs(pts, [(0, 0)] * 5)
-    bad = dict(signs)
-    first = next(iter(bad))
-    bad[first] = frozenset({(0, 0), (1, 1), (0, 1)})
-    with pytest.raises(ValueError):
-        curve_real_multiplicity(G, bad)
-
-
-def test_curve_real_multiplicity_sign_messages():
-    P = standard_triangle(2)
-    pts = next(iter(enumerate_paths(P, DEFAULT, 5)))
-    (c,) = decode(P, DEFAULT, pts)
-    G = marked_dual_graph(c)
-    signs = _graph_signs(pts, [(0, 0)] * 5)
-    needed = "need a sign class for exactly the marked edges"
+    needed = "^need a sign class for exactly the marked edges$"
     for wrong in ({}, dict(list(signs.items())[1:]), {**signs, ((0, 0), (2, 0)): frozenset({(0, 0)})}):
-        with pytest.raises(ValueError, match=f"^{needed}$"):
+        with pytest.raises(ValueError, match=needed):
             curve_real_multiplicity(G, wrong)
-    # the first edge, in the order of `signs`, whose class does not fit
+    # the first edge, in the order of `signs`, whose class does not fit is named
     first, second = list(signs)[:2]
     for cls in ({(0, 0), (1, 1), (0, 1)}, set(), {(0, 0)}, {(0, 0), (0, 2)}):
         bad = dict(signs)
+        bad[first] = frozenset({(0, 0), (1, 1), (0, 1)})
         bad[second] = frozenset(cls)
-        bad[first] = frozenset({(0, 0), (1, 1), (1, 0)})
         message = f"sign class {set(bad[first])} does not fit edge {first}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             curve_real_multiplicity(G, bad)
-    assert message == "sign class {(1, 0), (1, 1), (0, 0)} does not fit edge ((0, 1), (0, 2))"
+    assert message == "sign class {(0, 1), (1, 1), (0, 0)} does not fit edge ((0, 1), (0, 2))"
     bad = dict(signs)
     bad[second] = frozenset({(0, 0), (0, 2)})
     message = f"sign class {set(bad[second])} does not fit edge {second}"
@@ -473,9 +458,9 @@ def test_curve_real_multiplicity_sign_messages():
         curve_real_multiplicity(G, bad)
 
 
-# Taken from the decoded quartics before decoded cells were shared per
-# context: the repr of every marked dual graph, the decoded multiplicity and
-# the curve-level real multiplicity, in path and curve order.
+# The repr of every marked dual graph of the decoded quartics below, with the
+# curve's decoded and curve-level real multiplicities, in path and curve
+# order: a change to anything the pipeline outputs changes the digest.
 _QUARTIC_PIPELINE_DIGEST = (952, "967ea3c7fd5942cce2c204f8b5e0af8a3fe1ea2444e7f84d93607e0134608fb3")
 
 
@@ -500,7 +485,7 @@ def test_quartic_pipeline_output_is_pinned():
 @pytest.mark.parametrize("P, g, total, curves", [
     (standard_triangle(5), 3, 7915, 2496),
     (grid_rectangle(3, 3), 0, 4115, 2033),
-])
+], ids=["tri5-g3", "rect3-g0"])
 def test_curve_level_identity_one_size_up(P, g, total, curves):
     # every decoded curve of the cell under one seeded order and sign vector:
     # the decoded multiplicities add up to the count, the curve-level real
