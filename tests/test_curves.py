@@ -1,5 +1,6 @@
 """Tropical polynomials, dual subdivisions, corner-locus curves."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -255,6 +256,62 @@ def test_upper_faces_match_triple_enumeration():
     assert min(seen.values()) >= 18, seen
     # the draws reach every case the walk has to get right
     assert sunken and mid_side and larger_cells
+
+
+_PINNED_POLYGONS = (
+    [standard_triangle(d) for d in range(3, 8)]
+    + [grid_rectangle(d, d) for d in range(2, 5)]
+    + [LatticePolygon([(0, 0), (1, 0), (2, 2), (0, 1)])]  # the cusp quadrilateral
+)
+
+
+def _pinned_lifts():
+    """Seeded lifts of every kind on each pinned polygon, then supports that
+    span no area: collinear ones and single points."""
+    rng = random.Random(20261019)
+    for P in _PINNED_POLYGONS:
+        pts = P.lattice_points()
+        for _ in range(2):
+            yield random_concave(P, rng)
+            yield TropicalPolynomial({j: rng.randint(-2, 0) for j in pts})
+            kept = [j for j in pts if rng.random() < 0.6]
+            if len(convex_hull(kept)) >= 3:
+                yield TropicalPolynomial(
+                    {j: Fraction(rng.randint(-12, 3), rng.randint(1, 3)) for j in kept}
+                )
+            # each coefficient over its own denominator: the lift's scale is
+            # their lcm
+            yield TropicalPolynomial({
+                j: Fraction(-(2 * j[0] ** 2 + 2 * j[1] ** 2 + j[0] * j[1]) * 35 + rng.randint(-9, 9),
+                            rng.choice((5, 6, 7, 35)))
+                for j in pts
+            })
+    for d in ((1, 0), (0, 1), (1, 1), (2, -1)):
+        yield TropicalPolynomial({(t * d[0], 3 + t * d[1]): Fraction(rng.randint(-6, 2), rng.randint(1, 4))
+                                  for t in range(5)})
+    for j in ((0, 0), (2, -3)):
+        yield TropicalPolynomial({j: Fraction(rng.randint(-6, 6), rng.randint(1, 4))})
+
+
+# The repr of `curve_of`, `dual_subdivision` and `canonicalize` on each of
+# `_pinned_lifts`, in that order on one polynomial, or the type and message of
+# what the call raised: a change to anything the three output changes the
+# digest.
+_LIFT_OUTPUT_DIGEST = (231, "eb91ae7d385d985b2eb886d1cd53e81859d5cd2305287c3e5e45a329636c3cd0")
+
+
+def test_lift_outputs_are_pinned():
+    h = hashlib.sha256()
+    calls = 0
+    for f in _pinned_lifts():
+        for fn in (curve_of, dual_subdivision, canonicalize):
+            try:
+                out = repr(fn(f))
+            except Exception as exc:  # noqa: BLE001 - the failure is pinned too
+                out = f"{type(exc).__name__}: {exc}"
+            h.update(f"{fn.__name__}|{out}\n".encode())
+            calls += 1
+    assert (calls, h.hexdigest()) == _LIFT_OUTPUT_DIGEST
 
 
 # -- canonical coefficients --------------------------------------------------------
