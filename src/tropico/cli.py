@@ -288,15 +288,17 @@ def _curve_svg(C, out_path: str) -> None:
 
 def cmd_curve(args) -> int:
     # `curves` loads here only, so the counting commands never import it
-    from .curves import (DegenerateSupport, _curve_and_subdivision, check_balancing,
+    from .curves import (DegenerateSupport, check_balancing, curve_of, dual_subdivision,
                          genus_of_simple, is_smooth)
 
     f = _parse_poly(args.poly)
     try:
-        C, sub_ = _curve_and_subdivision(f)
+        C = curve_of(f)
     except DegenerateSupport as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    # the polynomial computed its subdivision for the curve and keeps it
+    sub_ = dual_subdivision(f)
     if not check_balancing(C):
         print("internal error: constructed curve is not balanced", file=sys.stderr)
         return 1

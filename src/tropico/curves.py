@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from types import MappingProxyType
 
 from .lattice import (
     LatticePoint,
@@ -52,8 +54,18 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-class TropicalPolynomial:
-    """A max-plus polynomial: max over support points j of <j, x> + a_j."""
+class TropicalPolynomial(_Record):
+    """A max-plus polynomial: max over support points j of <j, x> + a_j.
+
+    An immutable value: `terms` is a read-only view, and assigning or
+    deleting an attribute raises AttributeError.  Its lift is computed once,
+    on first use, and kept in the instance `__dict__` by `cached_property`,
+    as a polygon's derived data is: the support's hull, the integer heights,
+    the upper faces and the subdivision they cut out.  `curve_of`,
+    `dual_subdivision` and `canonicalize` read it.
+    """
+
+    terms: Mapping[LatticePoint, Fraction]
 
     def __init__(self, terms: Mapping[LatticePoint, object]):
         items = {}
@@ -62,7 +74,10 @@ class TropicalPolynomial:
             items[key] = _as_fraction(a)
         if not items:
             raise ValueError("empty support")
-        self.terms: dict[LatticePoint, Fraction] = dict(sorted(items.items()))
+        self.__dict__["terms"] = MappingProxyType(dict(sorted(items.items())))
+
+    def __reduce__(self):
+        return (self.__class__, (dict(self.terms),))
 
     def support(self) -> list[LatticePoint]:
         return list(self.terms)
@@ -79,7 +94,7 @@ class TropicalPolynomial:
         return [j for j, v in vals.items() if v == top]
 
     def newton_polygon(self) -> LatticePolygon:
-        return LatticePolygon(convex_hull(self.terms))
+        return LatticePolygon(self._hull)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TropicalPolynomial) and self.terms == other.terms
@@ -113,17 +128,50 @@ class TropicalPolynomial:
             terms[j] = t["coeff"]
         return cls(terms)
 
+    # -- the lift ------------------------------------------------------------
+
+    @cached_property
+    def _hull(self) -> list[LatticePoint]:
+        """The support's `convex_hull`: one point, two, or a polygon."""
+        return convex_hull(self.terms)
+
+    @cached_property
+    def _heights(self) -> tuple[dict[LatticePoint, int], int]:
+        return _scaled_heights(self)
+
+    @cached_property
+    def _faces(self) -> list[_Face]:
+        """The upper faces of the lift; the support must span an area."""
+        return _upper_faces(self, self._hull)
+
+    @cached_property
+    def _subdivision(self) -> tuple[list[_Face], DualSubdivision, dict]:
+        """The upper faces of the lift, the subdivision with one cell per
+        face in face order, and the edge map its tiling check returned."""
+        newton = self._hull
+        if len(newton) < 3:
+            raise DegenerateSupport("support spans no area")
+        faces = self._faces
+        cells = tuple(LatticePolygon(face.ring) for face in faces)
+        out = DualSubdivision(ambient=LatticePolygon(newton), cells=cells)
+        return faces, out, out.validate_tiling()
+
 
 def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int]:
     """Integer heights obtained by clearing denominators; positive scaling
     leaves the upper-face structure unchanged."""
     scale = lcm(*(a.denominator for a in f.terms.values()))
-    return {j: int(a * scale) for j, a in f.terms.items()}, scale
+    return {j: a.numerator * (scale // a.denominator) for j, a in f.terms.items()}, scale
 
 
 class _Face(_Record):
     """One upper face of the lifted hull: the support points on it and the
-    exact affine function x -> alpha*x1 + beta*x2 + gamma it lifts to."""
+    exact affine function x -> alpha*x1 + beta*x2 + gamma it lifts to.
+
+    A face of `_upper_faces` also keeps, outside its fields, the integer
+    plane (nx, ny, nz, c) it lies on, nx*x + ny*y + nz*h = c on the heights h
+    of `_scaled_heights` with nz > 0, and `ring`, the `convex_hull` of its
+    points."""
 
     points: tuple[LatticePoint, ...]
     alpha: Fraction
@@ -131,8 +179,10 @@ class _Face(_Record):
     gamma: Fraction
 
     def __init__(self, points: tuple[LatticePoint, ...], alpha: Fraction, beta: Fraction,
-                 gamma: Fraction):
-        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma)
+                 gamma: Fraction, plane: tuple[int, int, int, int] | None = None,
+                 ring: list[LatticePoint] | None = None):
+        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma,
+                             plane=plane, ring=ring)
 
     def value_at(self, j) -> Fraction:
         return self.alpha * j[0] + self.beta * j[1] + self.gamma
@@ -152,7 +202,7 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
     boundary.  Each crossing is one pass over the support, so the hull costs
     O(faces * n).  Faces are deduplicated by contact set.
     """
-    heights, scale = _scaled_heights(f)
+    heights, scale = f._heights
     lifted = [(x, y, heights[x, y]) for x, y in sorted(heights)]
 
     def face_across(a: LatticePoint, b: LatticePoint):
@@ -180,28 +230,35 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
     # The first support point is the Newton polygon's first vertex, and every
     # support point on the line to the next vertex lies on that side.  The
     # one of steepest lift starts an upper edge, with the polygon on its left.
+    # The slope to a point q on that side is (qz - z0) / t with t > 0 its
+    # projection on the side, so slopes compare by cross-multiplying.
     x0, y0, z0 = lifted[0]
     v1 = newton[1]
     d = (v1[0] - x0, v1[1] - y0)
-
-    def slope(q) -> Fraction:
-        return Fraction(q[2] - z0, d[0] * (q[0] - x0) + d[1] * (q[1] - y0))
-
-    top = max((q for q in lifted[1:] if cross(d, (q[0] - x0, q[1] - y0)) == 0), key=slope)
+    top, rise, run = None, 0, 0
+    for qx, qy, qz in lifted[1:]:
+        ux, uy = qx - x0, qy - y0
+        if d[0] * uy - d[1] * ux == 0:
+            t = d[0] * ux + d[1] * uy
+            if top is None or (qz - z0) * run > rise * t:
+                top, rise, run = (qx, qy), qz - z0, t
     faces: dict[tuple[LatticePoint, ...], _Face] = {}
     crossed: set[EdgeKey] = set()
-    todo = [face_across(top[:2], (x0, y0))]
+    todo = [face_across(top, (x0, y0))]
     while todo:
-        (nx, ny, nz, c), contact = todo.pop()
+        plane, contact = todo.pop()
         if contact in faces:
             continue
+        nx, ny, nz, c = plane
+        ring = convex_hull(contact)
         faces[contact] = _Face(
             points=contact,
             alpha=Fraction(-nx, nz * scale),
             beta=Fraction(-ny, nz * scale),
             gamma=Fraction(c, nz * scale),
+            plane=plane,
+            ring=ring,
         )
-        ring = convex_hull(contact)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             key = _edge_key(a, b)
             if key not in crossed:
@@ -212,22 +269,10 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
     return sorted(faces.values(), key=lambda face: face.points)
 
 
-def _subdivision(f: TropicalPolynomial) -> tuple[list[_Face], DualSubdivision, dict]:
-    """The upper faces of f's lift, the subdivision with one cell per face
-    in face order, and the edge map its tiling check returned."""
-    newton = convex_hull(f.terms)
-    if len(newton) < 3:
-        raise DegenerateSupport("support spans no area")
-    faces = _upper_faces(f, newton)
-    cells = tuple(LatticePolygon(convex_hull(face.points)) for face in faces)
-    out = DualSubdivision(ambient=LatticePolygon(newton), cells=cells)
-    return faces, out, out.validate_tiling()
-
-
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     """The regular subdivision of the Newton polygon induced by the
     coefficient lift: one cell per upper face of the lifted hull."""
-    return _subdivision(f)[1]
+    return f._subdivision[1]
 
 
 def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
@@ -238,16 +283,24 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
     height, and a sunken point takes the least of the face planes over it,
     which is the concave hull's value there."""
     # `convex_hull` keeps one point of a point and the two ends of a segment
-    newton = convex_hull(f.terms)
+    newton = f._hull
     if len(newton) == 1:
         return TropicalPolynomial(f.terms)
     if len(newton) > 2:
-        faces = _upper_faces(f, newton)
+        faces = f._faces
+        scale = f._heights[1]
         contact = {j for face in faces for j in face.points}
         new = dict(f.terms)
         for j in new:
             if j not in contact:
-                new[j] = min(face.value_at(j) for face in faces)
+                # a face's scaled value at j is (c - nx*j1 - ny*j2) / nz, nz > 0
+                low, den = None, 1
+                for face in faces:
+                    nx, ny, nz, c = face.plane
+                    v = c - nx * j[0] - ny * j[1]
+                    if low is None or v * den < low * nz:
+                        low, den = v, nz
+                new[j] = Fraction(low, den * scale)
         return TropicalPolynomial(new)
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)
@@ -308,25 +361,17 @@ class PlaneTropicalCurve(_Record):
         }
 
 
-def _rational_primitive(vx: Fraction, vy: Fraction) -> LatticePoint:
-    scale = lcm(vx.denominator, vy.denominator)
-    return primitive((int(vx * scale), int(vy * scale)))
-
-
 def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     """The corner locus of f as a weighted graph dual to its subdivision:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
     boundary cell edge, weights equal to dual lattice lengths."""
-    return _curve_and_subdivision(f)[0]
-
-
-def _curve_and_subdivision(f: TropicalPolynomial) -> tuple[PlaneTropicalCurve, DualSubdivision]:
-    """`curve_of(f)` and `dual_subdivision(f)` from one `_subdivision`."""
-    faces, sub_, emap = _subdivision(f)
+    faces, sub_, emap = f._subdivision
+    heights = f._heights[0]
     vertices: list[RationalPoint] = []
     for face in faces:
+        nx, ny, nz, c = face.plane
         for p in face.points:
-            if face.value_at(p) != f.terms[p]:
+            if nx * p[0] + ny * p[1] + nz * heights[p] != c:
                 raise ArithmeticError("face plane misses one of its own lifts")
         vertices.append((-face.alpha, -face.beta))
     bounded = []
@@ -335,9 +380,11 @@ def _curve_and_subdivision(f: TropicalPolynomial) -> tuple[PlaneTropicalCurve, D
         w = lattice_length(sub(b, a))
         if len(incident) == 2:
             i, j = incident
-            vx = vertices[j][0] - vertices[i][0]
-            vy = vertices[j][1] - vertices[i][1]
-            d = _rational_primitive(vx, vy)
+            # vertex k is (xk, yk) / (zk * scale) for the plane (xk, yk, zk, _)
+            # of face k, and zi, zj > 0
+            xi, yi, zi, _ = faces[i].plane
+            xj, yj, zj, _ = faces[j].plane
+            d = primitive((xj * zi - xi * zj, yj * zi - yi * zj))
             if d[0] * (b[0] - a[0]) + d[1] * (b[1] - a[1]) != 0:
                 raise ArithmeticError("dual edge is not orthogonal to its cell edge")
             bounded.append((i, j, w, d))
@@ -346,12 +393,11 @@ def _curve_and_subdivision(f: TropicalPolynomial) -> tuple[PlaneTropicalCurve, D
             # the tiling check put this edge on a side; the ray is its outward normal
             s0, s1 = _ambient_side(sub_.ambient, a, b)
             rays.append((i, primitive((s1[1] - s0[1], s0[0] - s1[0])), w))
-    curve = PlaneTropicalCurve(
+    return PlaneTropicalCurve(
         vertices=tuple(vertices),
         bounded_edges=tuple(bounded),
         rays=tuple(rays),
     )
-    return curve, sub_
 
 
 def check_balancing(C: PlaneTropicalCurve) -> bool:

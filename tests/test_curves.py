@@ -1,6 +1,8 @@
 """Tropical polynomials, dual subdivisions, corner-locus curves."""
 
+import copy
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from tropico.lattice import (
     standard_triangle,
     toric_degree,
 )
+import tropico.curves as curves
 from tropico.paths import DualSubdivision, DecodedCurve, MalformedSubdivision, decode, enumerate_paths, mu
 from tropico.curves import (
     DegenerateSupport,
@@ -94,6 +97,42 @@ def test_polynomial_exactness():
 def test_polynomial_json_roundtrip():
     f = TropicalPolynomial({(0, 0): Fraction(1, 3), (2, 1): -2, (0, 2): 0})
     assert TropicalPolynomial.from_json(f.to_json()) == f
+
+
+def test_polynomial_is_an_immutable_value():
+    f = TropicalPolynomial({(0, 0): Fraction(1, 3), (2, 1): -2, (0, 2): 0})
+    with pytest.raises(TypeError):
+        f.terms[(0, 0)] = Fraction(5)
+    with pytest.raises(AttributeError, match="^cannot assign to field 'terms'$"):
+        f.terms = {}
+    with pytest.raises(AttributeError, match="^cannot delete field 'terms'$"):
+        del f.terms
+    assert f.terms == {(0, 0): Fraction(1, 3), (0, 2): 0, (2, 1): -2}
+    D = dual_subdivision(f)
+    # a copy is rebuilt from the terms alone and computes its own lift
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f), copy.copy(f)):
+        assert g == f and g is not f
+        assert repr(g) == repr(f)
+        assert dual_subdivision(g) == D
+
+
+def test_lift_is_computed_once_per_polynomial(monkeypatch):
+    calls = []
+    upper_faces = curves._upper_faces
+
+    def counted(f, newton):
+        calls.append(f)
+        return upper_faces(f, newton)
+
+    monkeypatch.setattr(curves, "_upper_faces", counted)
+    # two sunken points, so `canonicalize` reads the face planes
+    f = TropicalPolynomial({(0, 0): 0, (1, 0): -5, (2, 0): 0, (0, 1): 0, (1, 1): -5, (0, 2): 0})
+    C = curve_of(f)
+    D = dual_subdivision(f)
+    g = canonicalize(f)
+    assert calls == [f]
+    assert curve_of(f) == C and dual_subdivision(f) is D and canonicalize(f) == g
+    assert g != f and len(calls) == 1
 
 
 def test_newton_polygon():
@@ -455,6 +494,26 @@ def test_sparse_support_of_large_degree():
     assert check_balancing(C)
     assert sorted(w for _, _, w in C.rays) == [n, n, n]
     assert canonicalize(f).terms[(n // 2, 0)] == 0
+
+
+def test_curve_of_checks_face_planes_and_dual_edges(monkeypatch):
+    f = random_concave(standard_triangle(3), random.Random(29))
+    face = f._faces[0]
+    nx, ny, nz, c = face.plane
+    with monkeypatch.context() as m:
+        m.setitem(face.__dict__, "plane", (nx, ny, nz, c + 1))
+        with pytest.raises(ArithmeticError, match="^face plane misses one of its own lifts$"):
+            curve_of(f)
+    assert check_balancing(curve_of(f))
+    # move an interior cell edge off its two cells' common side: the dual
+    # edge between them keeps its direction, which is normal to the old side
+    emap = f._subdivision[2]
+    (a, b), incident = next((e, cs) for e, cs in sorted(emap.items()) if len(cs) == 2)
+    shift = (1, 0) if a[1] != b[1] else (0, 1)
+    monkeypatch.delitem(emap, (a, b))
+    monkeypatch.setitem(emap, (a, (b[0] + shift[0], b[1] + shift[1])), incident)
+    with pytest.raises(ArithmeticError, match="^dual edge is not orthogonal to its cell edge$"):
+        curve_of(f)
 
 
 def test_curve_vertices_maximize_their_cells():
