@@ -17,7 +17,6 @@ from tropico.lattice import (
     standard_triangle,
     toric_degree,
 )
-import tropico.curves as curves
 from tropico.paths import DualSubdivision, DecodedCurve, MalformedSubdivision, decode, enumerate_paths, mu
 from tropico.curves import (
     DegenerateSupport,
@@ -37,6 +36,7 @@ from tropico.curves import (
     marked_dual_graph,
     vertex_multiplicity,
 )
+import tropico.curves as curves
 
 DEFAULT = LinearOrder.default()
 
@@ -130,9 +130,8 @@ def test_lift_is_computed_once_per_polynomial(monkeypatch):
     C = curve_of(f)
     D = dual_subdivision(f)
     g = canonicalize(f)
+    assert curve_of(f) == C and dual_subdivision(f) is D and canonicalize(f) == g != f
     assert calls == [f]
-    assert curve_of(f) == C and dual_subdivision(f) is D and canonicalize(f) == g
-    assert g != f and len(calls) == 1
 
 
 def test_newton_polygon():
@@ -346,7 +345,7 @@ def test_lift_outputs_are_pinned():
         for fn in (curve_of, dual_subdivision, canonicalize):
             try:
                 out = repr(fn(f))
-            except Exception as exc:  # noqa: BLE001 - the failure is pinned too
+            except (ValueError, ArithmeticError) as exc:
                 out = f"{type(exc).__name__}: {exc}"
             h.update(f"{fn.__name__}|{out}\n".encode())
             calls += 1
