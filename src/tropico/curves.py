@@ -49,6 +49,8 @@ class ParallelDirections(ValueError):
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, bool):
+        raise TypeError(f"coefficients must be int, Fraction or 'p/q' string, got {value!r}")
     if isinstance(value, float):
         raise TypeError("coefficients must be exact (int, Fraction or 'p/q' string)")
     return Fraction(value)
@@ -60,9 +62,13 @@ class TropicalPolynomial(_Record):
     An immutable value: `terms` is a read-only view, and assigning or
     deleting an attribute raises AttributeError.  Its lift is computed once,
     on first use, and kept in the instance `__dict__` by `cached_property`,
-    as a polygon's derived data is: the support's hull, the integer heights,
-    the upper faces and the subdivision they cut out.  `curve_of`,
-    `dual_subdivision` and `canonicalize` read it.
+    as a polygon's derived data is: the support's hull and Newton polygon,
+    the integer heights, the upper faces and the subdivision they cut out.
+    `curve_of`, `dual_subdivision` and `canonicalize` read it.
+
+    Each exponent must be a pair of integers (ValueError for another length,
+    TypeError for a non-integer) and each coefficient exact: an int, a
+    Fraction or a 'p/q' string, never a float or a bool (TypeError).
     """
 
     terms: Mapping[LatticePoint, Fraction]
@@ -70,11 +76,21 @@ class TropicalPolynomial(_Record):
     def __init__(self, terms: Mapping[LatticePoint, object]):
         items = {}
         for j, a in terms.items():
+            if len(j) != 2:
+                raise ValueError(f"an exponent has two coordinates, got {j!r}")
             key = (_coordinate(j[0]), _coordinate(j[1]))
             items[key] = _as_fraction(a)
         if not items:
             raise ValueError("empty support")
         self.__dict__["terms"] = MappingProxyType(dict(sorted(items.items())))
+
+    @classmethod
+    def _from_sorted(cls, terms: dict[LatticePoint, Fraction]) -> "TropicalPolynomial":
+        """The polynomial on terms that are already checked: integer pairs in
+        ascending order, each with a Fraction."""
+        self = object.__new__(cls)
+        self.__dict__["terms"] = MappingProxyType(terms)
+        return self
 
     def __reduce__(self):
         return (self.__class__, (dict(self.terms),))
@@ -94,7 +110,8 @@ class TropicalPolynomial(_Record):
         return [j for j, v in vals.items() if v == top]
 
     def newton_polygon(self) -> LatticePolygon:
-        return LatticePolygon(self._hull)
+        # a support that spans no area meets the polygon's own check
+        return self._newton if len(self._hull) > 2 else LatticePolygon(self._hull)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TropicalPolynomial) and self.terms == other.terms
@@ -136,6 +153,13 @@ class TropicalPolynomial(_Record):
         return convex_hull(self.terms)
 
     @cached_property
+    def _newton(self) -> LatticePolygon:
+        """The Newton polygon, bound from `_hull`, which must span an area.
+        The wrap reads its side bits and the subdivision keeps it as its
+        ambient, so the tiling check finds them computed."""
+        return LatticePolygon._from_ring(self._hull)
+
+    @cached_property
     def _heights(self) -> tuple[dict[LatticePoint, int], int]:
         return _scaled_heights(self)
 
@@ -148,12 +172,11 @@ class TropicalPolynomial(_Record):
     def _subdivision(self) -> tuple[list[_Face], DualSubdivision, dict]:
         """The upper faces of the lift, the subdivision with one cell per
         face in face order, and the edge map its tiling check returned."""
-        newton = self._hull
-        if len(newton) < 3:
+        if len(self._hull) < 3:
             raise DegenerateSupport("support spans no area")
         faces = self._faces
-        cells = tuple(LatticePolygon(face.ring) for face in faces)
-        out = DualSubdivision(ambient=LatticePolygon(newton), cells=cells)
+        cells = tuple(LatticePolygon._from_ring(face.ring) for face in faces)
+        out = DualSubdivision(ambient=self._newton, cells=cells)
         return faces, out, out.validate_tiling()
 
 
@@ -168,10 +191,12 @@ class _Face(_Record):
     """One upper face of the lifted hull: the support points on it and the
     exact affine function x -> alpha*x1 + beta*x2 + gamma it lifts to.
 
-    A face of `_upper_faces` also keeps, outside its fields, the integer
-    plane (nx, ny, nz, c) it lies on, nx*x + ny*y + nz*h = c on the heights h
-    of `_scaled_heights` with nz > 0, and `ring`, the `convex_hull` of its
-    points."""
+    A face of `_upper_faces` is built by `_on_plane`.  It keeps, outside its
+    fields, the integer plane (nx, ny, nz, c) it lies on, nx*x + ny*y + nz*h
+    = c on the heights h of `_scaled_heights` with nz > 0, the scale of those
+    heights, and `ring`, the counterclockwise hull of its points from their
+    least.  Its alpha, beta and gamma are computed from the plane on first
+    read, as a polygon's derived data is."""
 
     points: tuple[LatticePoint, ...]
     alpha: Fraction
@@ -179,10 +204,30 @@ class _Face(_Record):
     gamma: Fraction
 
     def __init__(self, points: tuple[LatticePoint, ...], alpha: Fraction, beta: Fraction,
-                 gamma: Fraction, plane: tuple[int, int, int, int] | None = None,
-                 ring: list[LatticePoint] | None = None):
-        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma,
-                             plane=plane, ring=ring)
+                 gamma: Fraction):
+        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma)
+
+    @classmethod
+    def _on_plane(cls, points: tuple[LatticePoint, ...], plane: tuple[int, int, int, int],
+                  scale: int, ring: list[LatticePoint]) -> "_Face":
+        self = object.__new__(cls)
+        self.__dict__.update(points=points, plane=plane, scale=scale, ring=ring)
+        return self
+
+    @cached_property
+    def alpha(self) -> Fraction:
+        nx, _, nz, _ = self.plane
+        return Fraction(-nx, nz * self.scale)
+
+    @cached_property
+    def beta(self) -> Fraction:
+        _, ny, nz, _ = self.plane
+        return Fraction(-ny, nz * self.scale)
+
+    @cached_property
+    def gamma(self) -> Fraction:
+        _, _, nz, c = self.plane
+        return Fraction(c, nz * self.scale)
 
     def value_at(self, j) -> Fraction:
         return self.alpha * j[0] + self.beta * j[1] + self.gamma
@@ -195,37 +240,60 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
     Gift wrapping (Chand-Kapur) in integer arithmetic on the heights of
     `_scaled_heights`.  The walk starts from the upper edge that leaves the
     lexicographically first support point along a side of the Newton
-    polygon, and crosses every cell edge once.  Across an edge, the next
-    face lies on the plane through it that has every support point strictly
-    across on or below it, and its contact set is every lifted point on that
-    plane.  A cell side with no point across lies on the Newton polygon's
-    boundary.  Each crossing is one pass over the support, so the hull costs
-    O(faces * n).  Faces are deduplicated by contact set.
+    polygon, and crosses every cell edge once, except those on a side of the
+    Newton polygon, which have no support point across.  Across an edge, the
+    next face lies on the plane through it that has every support point
+    strictly across on or below it, and its contact set is every lifted point
+    on that plane.  One pass over the support finds both: the planes through
+    the lifted edge are ordered by their height at every point across, so the
+    pass keeps the points across that lie on the plane so far and drops them
+    when the plane rises.  A point on the edge's own line joins the contact
+    when it lies on the final plane, and no point on the near side can, or
+    the face across would overlap the face the walk came from.  Each crossing
+    is one pass over the support, so the hull costs O(faces * n).  Faces are
+    deduplicated by contact set.
     """
     heights, scale = f._heights
-    lifted = [(x, y, heights[x, y]) for x, y in sorted(heights)]
+    # the terms, and so the heights, are in ascending order
+    lifted = [(x, y, z) for (x, y), z in heights.items()]
+    side_bits = f._newton.side_bits
+    bits = {j: side_bits(j) for j in heights}
 
     def face_across(a: LatticePoint, b: LatticePoint):
-        """(normal, contact) of the upper face on the right of the cell edge
+        """(plane, contact) of the upper face on the right of the cell edge
         a -> b, or None when no support point lies strictly on its right."""
         ax, ay, az = a[0], a[1], heights[a]
         ex, ey, ez = b[0] - ax, b[1] - ay, heights[b] - az
-        normal = None
+        # q lies across, on the right of a -> b, when ex*qy - ey*qx < k and
+        # on the edge's line when they are equal; it lies above the plane
+        # so far when nx*qx + ny*qy + nz*qz > c
+        k = ex * ay - ey * ax
+        nx = ny = nz = c = 0
+        on: list[LatticePoint] = []
+        line = []
         for qx, qy, qz in lifted:
-            ux, uy, uz = qx - ax, qy - ay, qz - az
-            if ex * uy - ey * ux >= 0:
+            turn = ex * qy - ey * qx
+            if turn > k:
                 continue
-            if normal is None or normal[0] * ux + normal[1] * uy + normal[2] * uz > 0:
+            if turn == k:
+                line.append((qx, qy, qz))
+                continue
+            rise = nx * qx + ny * qy + nz * qz
+            if rise > c or not on:
                 # the first point across, or one above the plane so far: the
                 # plane through the edge and it, as (q - a) x (b - a), which
                 # points up because q is on the right
-                normal = (uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex)
-        if normal is None:
+                ux, uy, uz = qx - ax, qy - ay, qz - az
+                nx, ny, nz = uy * ez - uz * ey, uz * ex - ux * ez, ux * ey - uy * ex
+                c = nx * ax + ny * ay + nz * az
+                on = [(qx, qy)]
+            elif rise == c:
+                on.append((qx, qy))
+        if not on:
             return None
-        nx, ny, nz = normal
-        c = nx * ax + ny * ay + nz * az
-        contact = tuple((x, y) for x, y, z in lifted if nx * x + ny * y + nz * z == c)
-        return (nx, ny, nz, c), contact
+        on.extend((x, y) for x, y, z in line if nx * x + ny * y + nz * z == c)
+        on.sort()
+        return (nx, ny, nz, c), tuple(on)
 
     # The first support point is the Newton polygon's first vertex, and every
     # support point on the line to the next vertex lies on that side.  The
@@ -249,17 +317,18 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
         plane, contact = todo.pop()
         if contact in faces:
             continue
-        nx, ny, nz, c = plane
-        ring = convex_hull(contact)
-        faces[contact] = _Face(
-            points=contact,
-            alpha=Fraction(-nx, nz * scale),
-            beta=Fraction(-ny, nz * scale),
-            gamma=Fraction(c, nz * scale),
-            plane=plane,
-            ring=ring,
-        )
+        if len(contact) == 3:
+            # a triangle: its least point first, then counterclockwise
+            p, q, r = contact
+            turn = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+            ring = [p, q, r] if turn > 0 else [p, r, q]
+        else:
+            ring = convex_hull(contact)
+        faces[contact] = _Face._on_plane(contact, plane, scale, ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
+            if bits[a] & bits[b]:
+                # on a side of the Newton polygon: no support point across
+                continue
             key = _edge_key(a, b)
             if key not in crossed:
                 crossed.add(key)
@@ -301,7 +370,7 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
                     if low is None or v * den < low * nz:
                         low, den = v, nz
                 new[j] = Fraction(low, den * scale)
-        return TropicalPolynomial(new)
+        return TropicalPolynomial._from_sorted(new)
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)
     pts = f.support()
@@ -366,14 +435,15 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
     boundary cell edge, weights equal to dual lattice lengths."""
     faces, sub_, emap = f._subdivision
-    heights = f._heights[0]
+    heights, scale = f._heights
     vertices: list[RationalPoint] = []
     for face in faces:
         nx, ny, nz, c = face.plane
         for p in face.points:
             if nx * p[0] + ny * p[1] + nz * heights[p] != c:
                 raise ArithmeticError("face plane misses one of its own lifts")
-        vertices.append((-face.alpha, -face.beta))
+        # the vertex is (-alpha, -beta) of the face
+        vertices.append((Fraction(nx, nz * scale), Fraction(ny, nz * scale)))
     bounded = []
     rays = []
     for (a, b), incident in sorted(emap.items()):

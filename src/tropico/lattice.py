@@ -147,6 +147,15 @@ class LatticePolygon(_Record):
             raise ValueError(f"not vertices of a convex polygon: {extra}")
         self.__dict__["vertices"] = tuple(hull)
 
+    @classmethod
+    def _from_ring(cls, ring: Sequence[LatticePoint]) -> "LatticePolygon":
+        """The polygon on a ring that `convex_hull` returned, of three points
+        or more: it already starts at its least point, runs counterclockwise
+        and has no repeated or collinear points, so nothing is checked."""
+        self = object.__new__(cls)
+        self.__dict__["vertices"] = tuple(ring)
+        return self
+
     # -- basic measures ----------------------------------------------------
     #
     # A polygon's derived data is computed once, on first use, and kept in
@@ -179,9 +188,13 @@ class LatticePolygon(_Record):
         k = self._edge_keys
         return ((k[0], k[2]), (k[1], k[3]))
 
-    def sides(self) -> list[tuple[LatticePoint, LatticePoint]]:
+    @cached_property
+    def _sides(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:
         v = self.vertices
-        return [(v[i], v[(i + 1) % len(v)]) for i in range(len(v))]
+        return tuple(zip(v, v[1:] + v[:1]))
+
+    def sides(self) -> list[tuple[LatticePoint, LatticePoint]]:
+        return list(self._sides)
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         xs = [p[0] for p in self.vertices]
@@ -191,10 +204,10 @@ class LatticePolygon(_Record):
     # -- membership ---------------------------------------------------------
 
     def contains(self, pt: LatticePoint) -> bool:
-        return all(cross(sub(b, a), sub(pt, a)) >= 0 for a, b in self.sides())
+        return all(cross(sub(b, a), sub(pt, a)) >= 0 for a, b in self._sides)
 
     def strictly_contains(self, pt: LatticePoint) -> bool:
-        return all(cross(sub(b, a), sub(pt, a)) > 0 for a, b in self.sides())
+        return all(cross(sub(b, a), sub(pt, a)) > 0 for a, b in self._sides)
 
     def on_boundary(self, pt: LatticePoint) -> bool:
         return self.contains(pt) and not self.strictly_contains(pt)
@@ -212,7 +225,7 @@ class LatticePolygon(_Record):
         seen = self._side_bits_seen
         if pt not in seen:
             bits = 0
-            for i, (a, b) in enumerate(self.sides()):
+            for i, (a, b) in enumerate(self._sides):
                 turn = cross(sub(b, a), sub(pt, a))
                 if turn < 0:
                     bits = None
@@ -238,7 +251,7 @@ class LatticePolygon(_Record):
         """Boundary lattice points in counterclockwise cyclic order, starting
         at the canonical first vertex."""
         out: list[LatticePoint] = []
-        for a, b in self.sides():
+        for a, b in self._sides:
             step = primitive(sub(b, a))
             for t in range(lattice_length(sub(b, a))):
                 out.append((a[0] + t * step[0], a[1] + t * step[1]))
@@ -246,7 +259,7 @@ class LatticePolygon(_Record):
 
     def counts(self) -> tuple[int, int]:
         """(number of boundary lattice points, number of interior lattice points)."""
-        s = sum(lattice_length(sub(b, a)) for a, b in self.sides())
+        s = sum(lattice_length(sub(b, a)) for a, b in self._sides)
         total = len(self.lattice_points())
         return s, total - s
 

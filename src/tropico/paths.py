@@ -118,7 +118,7 @@ def _ambient_side(
     shared = (P.side_bits(a) or 0) & (P.side_bits(b) or 0)
     if not shared:
         return None
-    return P.sides()[(shared & -shared).bit_length() - 1]
+    return P._sides[(shared & -shared).bit_length() - 1]
 
 
 class DualSubdivision(_Record):

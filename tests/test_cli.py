@@ -286,6 +286,20 @@ def test_exit_code_2_malformed_inputs(capsys):
         assert out == "", argv
 
 
+def test_curve_refuses_bool_coefficients_and_odd_exponents(capsys):
+    # a JSON true is not the coefficient 1: exit 2 with nothing on stdout
+    poly = '{"terms": [{"exp": [1,0], "coeff": true}, {"exp": [0,1], "coeff": "5"}, {"exp": [0,0], "coeff": "1"}]}'
+    code, out, err = run(["curve", "--poly", poly], capsys)
+    assert (code, out) == (2, "")
+    assert "coefficients must be int, Fraction or 'p/q' string, got True" in err
+    # the constructor's exponent check leaves the command's exit codes and
+    # messages as they were
+    for exp in ("[1]", "[1,0,7]"):
+        code, out, err = run(["curve", "--poly", LINE.replace("[1,0]", exp)], capsys)
+        assert (code, out) == (2, "")
+        assert f"an exponent has two coordinates, got {json.loads(exp)!r}" in err
+
+
 def test_exit_code_2_usage_errors(capsys):
     with pytest.raises(SystemExit):
         cli.build_parser().parse_args(["count"])

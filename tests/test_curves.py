@@ -4,6 +4,7 @@ import copy
 import hashlib
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
     convex_hull,
+    cross,
     grid_rectangle,
     standard_triangle,
+    sub,
     toric_degree,
 )
 from tropico.paths import DualSubdivision, DecodedCurve, MalformedSubdivision, decode, enumerate_paths, mu
@@ -92,6 +95,22 @@ def test_polynomial_exactness():
                          ("[0,1]", r"repeated exponent \[0, 1\]")):
         with pytest.raises(ValueError, match=message):
             TropicalPolynomial.from_json(line.replace("[1,0]", exp))
+
+
+def test_constructor_checks_exponents_and_coefficients():
+    # the constructor holds its own terms to what `from_json` asks of JSON:
+    # an exponent of another length is refused, not cut to two coordinates
+    # or indexed past its end
+    for exp in ((1, 2, 3), (1,)):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'an exponent has two coordinates, got {exp!r}')}$"):
+            TropicalPolynomial({exp: 0, (0, 0): 1})
+    # a bool is not read as 0 or 1, as a lattice coordinate is not
+    for flag in (True, False):
+        with pytest.raises(TypeError, match=f"^coefficients must be int, Fraction or 'p/q' string, got {flag}$"):
+            TropicalPolynomial({(1, 0): flag, (0, 1): 5, (0, 0): 1})
+    text = '{"terms": [{"exp": [1,0], "coeff": true}, {"exp": [0,0], "coeff": "1"}]}'
+    with pytest.raises(TypeError, match="got True$"):
+        TropicalPolynomial.from_json(text)
 
 
 def test_polynomial_json_roundtrip():
@@ -272,7 +291,7 @@ def _hull_lifts(P, rng):
 def test_upper_faces_match_triple_enumeration():
     rng = random.Random(20261018)
     seen = {"generic": 0, "ties": 0, "sparse": 0, "flat": 0}
-    sunken = mid_side = larger_cells = 0
+    sunken = mid_side = larger_cells = below_line = 0
     for P in _HULL_POLYGONS:
         for _ in range(2):
             for kind, f in _hull_lifts(P, rng):
@@ -291,9 +310,21 @@ def test_upper_faces_match_triple_enumeration():
                                     for face, c in zip(faces, cells) for j in face.points)
                 if kind == "ties":
                     larger_cells += sum(len(c.vertices) > 3 for c in cells)
+                # a support point on the line of an interior cell edge that
+                # lies on neither face along it: the walk crosses that edge
+                # once, and its pass must leave the point out of the contact
+                along: dict = {}
+                for i, c in enumerate(cells):
+                    for a, b in c.sides():
+                        along.setdefault((min(a, b), max(a, b)), []).append(i)
+                below_line += sum(
+                    j not in (a, b) and cross(sub(b, a), sub(j, a)) == 0
+                    and all(j not in faces[i].points for i in cs)
+                    for (a, b), cs in along.items() if len(cs) == 2 for j in f.terms
+                )
     assert min(seen.values()) >= 18, seen
     # the draws reach every case the walk has to get right
-    assert sunken and mid_side and larger_cells
+    assert sunken and mid_side and larger_cells and below_line
 
 
 _PINNED_POLYGONS = (
