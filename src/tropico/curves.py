@@ -169,15 +169,14 @@ class TropicalPolynomial(_Record):
         return _upper_faces(self, self._hull)
 
     @cached_property
-    def _subdivision(self) -> tuple[list[_Face], DualSubdivision, dict]:
-        """The upper faces of the lift, the subdivision with one cell per
-        face in face order, and the edge map its tiling check returned."""
+    def _subdivision(self) -> tuple[DualSubdivision, dict]:
+        """The subdivision with one cell per upper face of the lift, in face
+        order, and the edge map its tiling check returned."""
         if len(self._hull) < 3:
             raise DegenerateSupport("support spans no area")
-        faces = self._faces
-        cells = tuple(LatticePolygon._from_ring(face.ring) for face in faces)
+        cells = tuple(LatticePolygon._from_ring(face.ring) for face in self._faces)
         out = DualSubdivision(ambient=self._newton, cells=cells)
-        return faces, out, out.validate_tiling()
+        return out, out.validate_tiling()
 
 
 def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int]:
@@ -188,49 +187,18 @@ def _scaled_heights(f: TropicalPolynomial) -> tuple[dict[LatticePoint, int], int
 
 
 class _Face(_Record):
-    """One upper face of the lifted hull: the support points on it and the
-    exact affine function x -> alpha*x1 + beta*x2 + gamma it lifts to.
-
-    A face of `_upper_faces` is built by `_on_plane`.  It keeps, outside its
-    fields, the integer plane (nx, ny, nz, c) it lies on, nx*x + ny*y + nz*h
-    = c on the heights h of `_scaled_heights` with nz > 0, the scale of those
-    heights, and `ring`, the counterclockwise hull of its points from their
-    least.  Its alpha, beta and gamma are computed from the plane on first
-    read, as a polygon's derived data is."""
+    """One upper face of the lifted hull: the support points on it, in
+    ascending order; the integer plane (nx, ny, nz, c) it lies on, nx*x +
+    ny*y + nz*h = c on the heights h of `_scaled_heights` with nz > 0; and
+    its ring, the counterclockwise hull of its points from their least."""
 
     points: tuple[LatticePoint, ...]
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
+    plane: tuple[int, int, int, int]
+    ring: tuple[LatticePoint, ...]
 
-    def __init__(self, points: tuple[LatticePoint, ...], alpha: Fraction, beta: Fraction,
-                 gamma: Fraction):
-        self.__dict__.update(points=points, alpha=alpha, beta=beta, gamma=gamma)
-
-    @classmethod
-    def _on_plane(cls, points: tuple[LatticePoint, ...], plane: tuple[int, int, int, int],
-                  scale: int, ring: list[LatticePoint]) -> "_Face":
-        self = object.__new__(cls)
-        self.__dict__.update(points=points, plane=plane, scale=scale, ring=ring)
-        return self
-
-    @cached_property
-    def alpha(self) -> Fraction:
-        nx, _, nz, _ = self.plane
-        return Fraction(-nx, nz * self.scale)
-
-    @cached_property
-    def beta(self) -> Fraction:
-        _, ny, nz, _ = self.plane
-        return Fraction(-ny, nz * self.scale)
-
-    @cached_property
-    def gamma(self) -> Fraction:
-        _, _, nz, c = self.plane
-        return Fraction(c, nz * self.scale)
-
-    def value_at(self, j) -> Fraction:
-        return self.alpha * j[0] + self.beta * j[1] + self.gamma
+    def __init__(self, points: tuple[LatticePoint, ...], plane: tuple[int, int, int, int],
+                 ring: tuple[LatticePoint, ...]):
+        self.__dict__.update(points=points, plane=plane, ring=ring)
 
 
 def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Face]:
@@ -251,9 +219,14 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
     when it lies on the final plane, and no point on the near side can, or
     the face across would overlap the face the walk came from.  Each crossing
     is one pass over the support, so the hull costs O(faces * n).  Faces are
-    deduplicated by contact set.
+    deduplicated by contact set; each is `_Face(contact, plane, ring)`.
+
+    Every edge the walk crosses has a support point across.  The first has
+    the Newton polygon on its right; any other with none on its right would
+    lie on a supporting line of the support, so on a side of the Newton
+    polygon, and its two ends would share that side.
     """
-    heights, scale = f._heights
+    heights = f._heights[0]
     # the terms, and so the heights, are in ascending order
     lifted = [(x, y, z) for (x, y), z in heights.items()]
     side_bits = f._newton.side_bits
@@ -261,7 +234,7 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
 
     def face_across(a: LatticePoint, b: LatticePoint):
         """(plane, contact) of the upper face on the right of the cell edge
-        a -> b, or None when no support point lies strictly on its right."""
+        a -> b."""
         ax, ay, az = a[0], a[1], heights[a]
         ex, ey, ez = b[0] - ax, b[1] - ay, heights[b] - az
         # q lies across, on the right of a -> b, when ex*qy - ey*qx < k and
@@ -289,8 +262,6 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
                 on = [(qx, qy)]
             elif rise == c:
                 on.append((qx, qy))
-        if not on:
-            return None
         on.extend((x, y) for x, y, z in line if nx * x + ny * y + nz * z == c)
         on.sort()
         return (nx, ny, nz, c), tuple(on)
@@ -321,10 +292,10 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
             # a triangle: its least point first, then counterclockwise
             p, q, r = contact
             turn = (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-            ring = [p, q, r] if turn > 0 else [p, r, q]
+            ring = (p, q, r) if turn > 0 else (p, r, q)
         else:
-            ring = convex_hull(contact)
-        faces[contact] = _Face._on_plane(contact, plane, scale, ring)
+            ring = tuple(convex_hull(contact))
+        faces[contact] = _Face(contact, plane, ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             if bits[a] & bits[b]:
                 # on a side of the Newton polygon: no support point across
@@ -332,16 +303,14 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
             key = _edge_key(a, b)
             if key not in crossed:
                 crossed.add(key)
-                nxt = face_across(a, b)
-                if nxt is not None:
-                    todo.append(nxt)
+                todo.append(face_across(a, b))
     return sorted(faces.values(), key=lambda face: face.points)
 
 
 def dual_subdivision(f: TropicalPolynomial) -> DualSubdivision:
     """The regular subdivision of the Newton polygon induced by the
     coefficient lift: one cell per upper face of the lifted hull."""
-    return f._subdivision[1]
+    return f._subdivision[0]
 
 
 def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
@@ -434,7 +403,8 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
     """The corner locus of f as a weighted graph dual to its subdivision:
     a vertex per cell, a bounded edge per interior cell edge, a ray per
     boundary cell edge, weights equal to dual lattice lengths."""
-    faces, sub_, emap = f._subdivision
+    sub_, emap = f._subdivision
+    faces = f._faces
     heights, scale = f._heights
     vertices: list[RationalPoint] = []
     for face in faces:

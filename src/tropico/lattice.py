@@ -81,10 +81,7 @@ def convex_hull(points: Iterable[LatticePoint]) -> list[LatticePoint]:
 
     lower = half(pts)
     upper = half(pts[::-1])
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return hull[:1]
-    return hull
+    return lower[:-1] + upper[:-1]
 
 
 class _Record:

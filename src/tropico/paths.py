@@ -133,9 +133,6 @@ class DualSubdivision(_Record):
     def triangles(self) -> list[LatticePolygon]:
         return [c for c in self.cells if len(c.vertices) == 3]
 
-    def parallelograms(self) -> list[LatticePolygon]:
-        return [c for c in self.cells if c._opposite_edge_keys is not None]
-
     def is_simple(self) -> bool:
         """True when every cell is a triangle or a parallelogram."""
         return all(len(c.vertices) == 3 or c._opposite_edge_keys is not None for c in self.cells)
@@ -205,11 +202,6 @@ class DecodedCurve(_Record):
     def genus(self) -> int:
         s, _ = self.subdivision.ambient.counts()
         return len(self.path) - 1 - s + 1
-
-    def to_json_dict(self) -> dict:
-        d = self.subdivision.to_json_dict()
-        d["multiplicity"] = self.multiplicity
-        return d
 
 
 class _Context:

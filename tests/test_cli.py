@@ -212,6 +212,27 @@ def test_table_projective_degree_five(capsys):
     assert [int(r[5]) for r in rows[1:]] == [65949, 109781, 90027, 36975, 7915, 882, 48, 1]
 
 
+def test_count_cross_check_failure_exits_1(monkeypatch, capsys):
+    # the recount under the resampled order disagrees: the total is printed
+    # first, then the failure
+    rule, takes_signs, label, (total_of, genus_0_only, what) = cli._COUNTING["count"]
+    check = (lambda P, g, order: total_of(P, g, order) + 1, genus_0_only, what)
+    monkeypatch.setitem(cli._COUNTING, "count", (rule, takes_signs, label, check))
+    code, out, err = run(["count", "--polygon", D3, "--genus", "0"], capsys)
+    assert (code, out, err) == (
+        1, "12\n", "cross-check failed: count changed under a resampled order\n")
+
+
+def test_table_cross_check_failure_exits_1(monkeypatch, capsys):
+    # only the recount runs under another order than the default; the table
+    # prints nothing when its first cell fails
+    count, default = cli.count, LinearOrder.default()
+    monkeypatch.setattr(cli, "count", lambda P, g, order: count(P, g, order) + (order != default))
+    code, out, err = run(["table", "--dmax", "2"], capsys)
+    assert (code, out, err) == (
+        1, "", "cross-check failed for d=1, g=-1 under a resampled order\n")
+
+
 def test_table_ceiling(capsys):
     for family, dmax in (("bidegree", "4"), ("projective", "6")):
         code, out, err = run(["table", "--family", family, "--dmax", dmax], capsys)
@@ -237,6 +258,23 @@ def test_curve_json_and_svg(tmp_path, capsys):
     assert text.startswith("<svg")
     assert text.count("<line") == 3
     assert text.count("<circle") == 1
+
+
+def test_curve_svg_bounded_edges_and_weight_labels(tmp_path, capsys):
+    # the tied conic has two bounded edges of weight 1; the sparse cubic has
+    # three bounded edges and three rays of weight 3, which are labelled
+    tied = ('{"terms": [{"exp": [0,0], "coeff": "0"}, {"exp": [1,0], "coeff": "-1"}, '
+            '{"exp": [0,1], "coeff": "-1"}, {"exp": [1,1], "coeff": "-2"}, '
+            '{"exp": [2,0], "coeff": "-4"}, {"exp": [0,2], "coeff": "-4"}]}')
+    sparse = ('{"terms": [{"exp": [0,0], "coeff": "0"}, {"exp": [3,0], "coeff": "0"}, '
+              '{"exp": [0,3], "coeff": "0"}, {"exp": [1,1], "coeff": "1/2"}, '
+              '{"exp": [2,0], "coeff": "-3"}]}')
+    for poly, counts in ((tied, (8, 3, 0)), (sparse, (6, 3, 3))):
+        svg = tmp_path / "curve.svg"
+        code, _, err = run(["curve", "--poly", poly, "--svg", str(svg)], capsys)
+        assert (code, err) == (0, "")
+        text = svg.read_text()
+        assert tuple(text.count(tag) for tag in ("<line", "<circle", "<text")) == counts
 
 
 def test_curve_from_file(tmp_path, capsys):

@@ -27,7 +27,6 @@ from tropico.curves import (
     ParallelDirections,
     PlaneTropicalCurve,
     TropicalPolynomial,
-    _Face,
     _scaled_heights,
     _upper_faces,
     canonicalize,
@@ -220,10 +219,18 @@ def test_genus_of_simple_requires_simple():
         genus_of_simple(D)
 
 
+def _coefficients(points, plane, scale):
+    """A face as (points, alpha, beta, gamma): its plane on the heights of
+    `_scaled_heights` is the lift x -> alpha*x1 + beta*x2 + gamma."""
+    nx, ny, nz, c = plane
+    return points, Fraction(-nx, nz * scale), Fraction(-ny, nz * scale), Fraction(c, nz * scale)
+
+
 def _reference_upper_faces(f):
-    """The upper faces by brute force: a plane through three lifted points
-    supports an upper face exactly when every lifted point lies on or below
-    it.  O(n^4); the reference for the gift wrapping in `_upper_faces`."""
+    """The upper faces by brute force, as `_coefficients` tuples: a plane
+    through three lifted points supports an upper face exactly when every
+    lifted point lies on or below it.  O(n^4); the reference for the gift
+    wrapping in `_upper_faces`."""
     heights, scale = _scaled_heights(f)
     pts = sorted(heights)
     lifted = [(p[0], p[1], heights[p]) for p in pts]
@@ -255,13 +262,8 @@ def _reference_upper_faces(f):
                     continue
                 key = frozenset(contact)
                 if key not in seen:
-                    seen[key] = _Face(
-                        points=tuple(sorted(contact)),
-                        alpha=Fraction(-nx, nz * scale),
-                        beta=Fraction(-ny, nz * scale),
-                        gamma=Fraction(c, nz * scale),
-                    )
-    return sorted(seen.values(), key=lambda face: face.points)
+                    seen[key] = _coefficients(tuple(sorted(contact)), (nx, ny, nz, c), scale)
+    return sorted(seen.values())
 
 
 _HULL_POLYGONS = (
@@ -297,9 +299,12 @@ def test_upper_faces_match_triple_enumeration():
             for kind, f in _hull_lifts(P, rng):
                 faces = _upper_faces(f, convex_hull(f.terms))
                 reference = _reference_upper_faces(f)
-                assert faces == reference, (kind, P.vertices)
+                scale = _scaled_heights(f)[1]
+                assert [_coefficients(face.points, face.plane, scale)
+                        for face in faces] == reference, (kind, P.vertices)
+                assert all(face.ring == tuple(convex_hull(face.points)) for face in faces)
                 assert canonicalize(f) == TropicalPolynomial(
-                    {j: min(face.value_at(j) for face in reference) for j in f.terms}
+                    {j: min(a * j[0] + b * j[1] + g for _, a, b, g in reference) for j in f.terms}
                 ), (kind, P.vertices)
                 seen[kind] += 1
                 contact = {j for face in faces for j in face.points}
@@ -537,7 +542,7 @@ def test_curve_of_checks_face_planes_and_dual_edges(monkeypatch):
     assert check_balancing(curve_of(f))
     # move an interior cell edge off its two cells' common side: the dual
     # edge between them keeps its direction, which is normal to the old side
-    emap = f._subdivision[2]
+    emap = f._subdivision[1]
     (a, b), incident = next((e, cs) for e, cs in sorted(emap.items()) if len(cs) == 2)
     shift = (1, 0) if a[1] != b[1] else (0, 1)
     monkeypatch.delitem(emap, (a, b))

@@ -156,6 +156,17 @@ def test_order_refuses_non_integers():
         LinearOrder.from_json('{"primary": [1, 0], "tiebreak": ["0", -1]}')
 
 
+def test_constructors_refuse_degenerate_input():
+    with pytest.raises(ValueError, match="^degree must be positive$"):
+        standard_triangle(0)
+    with pytest.raises(ValueError, match="^side lengths must be positive$"):
+        grid_rectangle(0, 2)
+    with pytest.raises(ValueError, match="^order vectors must be 2-dimensional$"):
+        LinearOrder((1, 0, 0), (0, 1))
+    with pytest.raises(ValueError, match="^zero vector has no lattice length$"):
+        lattice_length((0, 0))
+
+
 def test_extremal_vertices_default_order():
     P = standard_triangle(3)
     p, q = extremal_vertices(P, LinearOrder.default())

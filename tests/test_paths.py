@@ -77,13 +77,13 @@ def test_calibration_multiplicities():
 def test_path_validation():
     P = standard_triangle(2)
     assert mu(P, DEFAULT, ((0, 2), (2, 0))) == 0  # valid path, no corners
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^path must run from \(0, 2\) to \(2, 0\)$"):
         mu(P, DEFAULT, ((0, 1), (2, 0)))  # wrong start point
-    with pytest.raises(ValueError):
-        mu(P, DEFAULT, ((0, 2), (1, 1), (0, 0)))  # not increasing
-    with pytest.raises(ValueError):
-        mu(P, DEFAULT, ((0, 2), (3, 0)))  # leaves the polygon
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^path is not strictly increasing under the order$"):
+        mu(P, DEFAULT, ((0, 2), (1, 0), (0, 1), (2, 0)))
+    with pytest.raises(ValueError, match="^path leaves the polygon$"):
+        mu(P, DEFAULT, ((0, 2), (1, 2), (2, 0)))
+    with pytest.raises(ValueError, match="^a path needs at least one step$"):
         mu(P, DEFAULT, ((0, 2),))
 
 

@@ -584,17 +584,22 @@ def test_incompatible_graph_two_ends():
 
 
 def test_incompatible_graph_cycle():
-    # Two parallel chains between the same pair of triangles close a cycle.
+    # Two parallel chains between the same pair of triangles close a cycle;
+    # the first triangle's third leg runs to the end and the second's to a
+    # mark, so the fold reaches the cycle.
     T1 = LatticePolygon([(0, 0), (1, 0), (0, 1)])
     T2 = LatticePolygon([(1, 0), (1, 1), (0, 1)])
     e1, e2 = _edge_key((1, 0), (0, 1)), _edge_key((0, 0), (1, 1))
+    e3, e4 = _edge_key((0, 0), (1, 0)), _edge_key((1, 0), (1, 1))
     chains = (
         Chain(edges=(e1,), terminals=(("tri", 0), ("tri", 1)), weight=1, direction=(1, 1)),
         Chain(edges=(e2,), terminals=(("tri", 0), ("tri", 1)), weight=1, direction=(1, -1)),
+        Chain(edges=(e3,), terminals=(("tri", 0), ("end",)), weight=1, direction=(0, -1)),
+        Chain(edges=(e4,), terminals=(("tri", 1), ("end",)), weight=1, direction=(1, 0)),
     )
-    G = MarkedDualGraph(triangles=(T1, T2), crossings=(), chains=chains, marked=())
-    with pytest.raises(IncompatibleGraph):
-        curve_real_multiplicity(G, {})
+    G = MarkedDualGraph(triangles=(T1, T2), crossings=(), chains=chains, marked=(e4,))
+    with pytest.raises(IncompatibleGraph, match="^component is not a tree$"):
+        curve_real_multiplicity(G, {e4: sign_class_of((0, 1), (0, 0))})
 
 
 def test_incompatible_graph_no_end_or_two_legs():
