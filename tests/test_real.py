@@ -482,20 +482,24 @@ def test_quartic_pipeline_output_is_pinned():
     assert (curves, h.hexdigest()) == _QUARTIC_PIPELINE_DIGEST
 
 
-@pytest.mark.parametrize("P, g, total, curves", [
-    (standard_triangle(5), 3, 7915, 2496),
-    (grid_rectangle(3, 3), 0, 4115, 2033),
+@pytest.mark.parametrize("P, g, total, curves, digest", [
+    (standard_triangle(5), 3, 7915, 2496, "012fe903a1b12d9d87fc76c586e69f105a1b910e8bf05b3b3e47d4ecfa0ce2e2"),
+    (grid_rectangle(3, 3), 0, 4115, 2033, "da35d9b125f99f5ea92674bdbe57f06a3a9ee359fb73a269e5dad64fc2f71574"),
 ], ids=["tri5-g3", "rect3-g0"])
-def test_curve_level_identity_one_size_up(P, g, total, curves):
+def test_curve_level_identity_one_size_up(P, g, total, curves, digest):
     # every decoded curve of the cell under one seeded order and sign vector:
     # the decoded multiplicities add up to the count, the curve-level real
-    # multiplicities to the signed count
+    # multiplicities to the signed count.  These cells have long chains, many
+    # of them with a mark inside and some of even weight, so the digest of
+    # each marked dual graph's repr with its two multiplicities pins what
+    # the quartics above do not reach.
     rng = random.Random(f"{P.vertices}:{g}")
     order = random_order(rng)
     s, _ = P.counts()
     n = s + g - 1
     choice = [rng.choice(QUADRANTS) for _ in range(n)]
     decoded = mult = real = 0
+    h = hashlib.sha256()
     for pts in enumerate_paths(P, order, n):
         if not mu(P, order, pts):
             continue
@@ -503,9 +507,13 @@ def test_curve_level_identity_one_size_up(P, g, total, curves):
         for c in decode(P, order, pts):
             decoded += 1
             mult += c.multiplicity
-            real += curve_real_multiplicity(marked_dual_graph(c), signs)
+            G = marked_dual_graph(c)
+            m = curve_real_multiplicity(G, signs)
+            real += m
+            h.update(f"{G!r}|{c.multiplicity}|{m}\n".encode())
     assert (decoded, mult) == (curves, total) == (curves, count(P, g, order))
     assert real == real_signed_count(P, g, order, choice)
+    assert h.hexdigest() == digest
 
 
 # -- synthetic graphs ------------------------------------------------------------
