@@ -23,7 +23,15 @@ from .lattice import (
     grid_rectangle,
     standard_triangle,
 )
-from .paths import InvalidGenus, _mu_step, _path_sides, _steps_for_genus, count, path_to_json
+from .paths import (
+    InvalidGenus,
+    _mu_step,
+    _path_sides,
+    _steps_for_genus,
+    _total,
+    count,
+    path_to_json,
+)
 from .real import _mu_real_step, _nu_step, _step_classes, welschinger_count
 
 SIGN_TOKENS = {"++": (0, 0), "+-": (0, 1), "-+": (1, 0), "--": (1, 1)}
@@ -154,8 +162,8 @@ _COUNTING = {
 
 def cmd_counting(args) -> int:
     """count, welschinger and real-count: the total of a step rule over the
-    paths, with one row per contributing path under --per-path (the lazy
-    walk yields only those)."""
+    paths, summed over the walk as the library counts do; under --per-path
+    also one row per contributing path (the lazy walk yields only those)."""
     rule, takes_signs, label, check = _COUNTING[args.command]
     P = _parse_polygon(args.polygon)
     order = _parse_order(args.order)
@@ -164,8 +172,11 @@ def cmd_counting(args) -> int:
         # argparse before 3.12 strips a lone "--" from an option's value
         args.signs = "--"
     step_class = _step_classes(_parse_signs(args.signs, n)) if takes_signs else None
-    rows = list(_path_sides(P, order, n, rule, step_class))
-    total = sum(plus * minus for _, plus, minus in rows)
+    if args.per_path:
+        rows = list(_path_sides(P, order, n, rule, step_class))
+        total = sum(plus * minus for _, plus, minus in rows)
+    else:
+        total = _total(P, args.genus, order, rule, step_class)
     if args.format == "json":
         doc = {
             "polygon": [list(v) for v in P.vertices],

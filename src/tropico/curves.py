@@ -14,7 +14,7 @@ import json
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 
 from .lattice import (
@@ -30,7 +30,7 @@ from .lattice import (
     sub,
 )
 from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision, _ambient_side
-from .real import Chain, EdgeKey, MarkedDualGraph
+from .real import EdgeKey, MarkedDualGraph
 
 RationalPoint = tuple[Fraction, Fraction]
 
@@ -488,69 +488,77 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
     parallelogram cells (the dual curve passes straight through those);
     each chain ends either at a triangle node or at a boundary end.  The
     cells' edges and opposite sides are read from the cells, which compute
-    them once.
+    them once.  The chains are walked with int terminals and kept as the
+    graph's rows (`MarkedDualGraph`).
     """
     sub_ = D.subdivision
     emap = sub_.validate_tiling()
-    if not sub_.is_simple():
-        raise NotSimple("decoded subdivision has a cell that is not simple")
     triangles: list[LatticePolygon] = []
     crossings: list[LatticePolygon] = []
-    # the terminal of a chain that runs into cell i, None for a parallelogram
-    terminal: list[tuple | None] = []
-    passthrough: dict[tuple[EdgeKey, int], EdgeKey] = {}
-    for i, c in enumerate(sub_.cells):
+    # the terminal of a chain that runs into cell i, its triangle's index or
+    # None for a parallelogram, and the parallelogram's opposite sides; the
+    # outside of the polygon is cell -1, the last entry, whose terminal is
+    # the end, -1
+    terminal: list[int | None] = []
+    across: list[dict | None] = []
+    for c in sub_.cells:
         if len(c.vertices) == 3:
-            terminal.append(("tri", len(triangles)))
+            terminal.append(len(triangles))
+            across.append(None)
             triangles.append(c)
         else:
+            opposite = c._across
+            if opposite is None:
+                raise NotSimple("decoded subdivision has a cell that is not simple")
             terminal.append(None)
+            across.append(opposite)
             crossings.append(c)
-            for k1, k2 in c._opposite_edge_keys:
-                passthrough[k1, i] = k2
-                passthrough[k2, i] = k1
-    end = ("end",)
+    terminal.append(-1)
 
-    def extend(start: EdgeKey, cell: int | None):
-        run: list[EdgeKey] = []
-        cur_e, cur_c = start, cell
+    def extend(start: EdgeKey, cell: int, run: list[EdgeKey]) -> int:
+        """The terminal reached from edge `start` into `cell`, through the
+        parallelograms on the way, whose far sides are appended to run."""
+        e = start
         while True:
-            if cur_c is None:
-                return run, end
-            if terminal[cur_c] is not None:
-                return run, terminal[cur_c]
-            nxt = passthrough[cur_e, cur_c]
+            t = terminal[cell]
+            if t is not None:
+                return t
+            nxt = across[cell][e]
             if nxt == start or nxt in run:
                 raise MalformedSubdivision("cycle of parallelogram crossings")
             run.append(nxt)
-            others = [c for c in emap[nxt] if c != cur_c]
-            cur_e, cur_c = nxt, (others[0] if others else None)
+            incident = emap[nxt]
+            if incident[0] != cell:
+                cell = incident[0]
+            else:
+                cell = incident[1] if len(incident) == 2 else -1
+            e = nxt
 
-    chains: list[Chain] = []
+    rows = []
     assigned: set[EdgeKey] = set()
     slots = [0] * len(triangles)
     for e in sorted(emap):
-        if e in assigned:
-            continue
         incident = emap[e]
         left_cell = incident[0]
-        right_cell = incident[1] if len(incident) == 2 else None
-        left_term = terminal[left_cell]
-        right_term = end if right_cell is None else terminal[right_cell]
-        if left_term and right_term:
+        right_cell = incident[1] if len(incident) == 2 else -1
+        left, right = terminal[left_cell], terminal[right_cell]
+        if left is not None and right is not None:
             edges = (e,)
+        elif e in assigned:
+            # every edge of a chain that crosses a parallelogram borders one
+            continue
         else:
-            left_run, left_term = extend(e, left_cell)
-            right_run, right_term = extend(e, right_cell)
+            left_run: list[EdgeKey] = []
+            right_run: list[EdgeKey] = []
+            left = extend(e, left_cell, left_run)
+            right = extend(e, right_cell, right_run)
             edges = (*reversed(left_run), e, *right_run)
             assigned.update(edges)
-        (ax, ay), (bx, by) = e
-        vx, vy = bx - ax, by - ay
-        w = gcd(vx, vy)
-        chains.append(Chain(edges, (left_term, right_term), w, (-vy // w, vx // w)))
-        for t in (left_term, right_term):
-            if t is not end:
-                slots[t[1]] += 1
+        rows.append((edges, left, right))
+        if left >= 0:
+            slots[left] += 1
+        if right >= 0:
+            slots[right] += 1
     for t, k in enumerate(slots):
         if k != 3:
             raise MalformedSubdivision(f"triangle {t} has {k} chain slots, expected 3")
@@ -561,9 +569,4 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
         if key not in emap:
             raise MalformedSubdivision(f"marked step {a}-{b} is not a subdivision edge")
         marked.append(key)
-    return MarkedDualGraph(
-        triangles=tuple(triangles),
-        crossings=tuple(crossings),
-        chains=tuple(chains),
-        marked=tuple(marked),
-    )
+    return MarkedDualGraph._from_rows(tuple(triangles), tuple(crossings), tuple(rows), tuple(marked))

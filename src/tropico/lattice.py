@@ -176,14 +176,14 @@ class LatticePolygon(_Record):
         return tuple(map(_edge_key, v, v[1:] + v[:1]))
 
     @cached_property
-    def _opposite_edge_keys(self) -> tuple | None:
-        """For a parallelogram, its two pairs of opposite sides as undirected
-        edges; None for any other polygon."""
+    def _across(self) -> dict[tuple[LatticePoint, LatticePoint], tuple[LatticePoint, LatticePoint]] | None:
+        """For a parallelogram, each side as an undirected edge mapped to the
+        opposite side; None for any other polygon."""
         v = self.vertices
         if len(v) != 4 or sub(v[1], v[0]) != sub(v[2], v[3]):
             return None
-        k = self._edge_keys
-        return ((k[0], k[2]), (k[1], k[3]))
+        k0, k1, k2, k3 = self._edge_keys
+        return {k0: k2, k2: k0, k1: k3, k3: k1}
 
     @cached_property
     def _sides(self) -> tuple[tuple[LatticePoint, LatticePoint], ...]:

@@ -135,14 +135,19 @@ class DualSubdivision(_Record):
 
     def is_simple(self) -> bool:
         """True when every cell is a triangle or a parallelogram."""
-        return all(len(c.vertices) == 3 or c._opposite_edge_keys is not None for c in self.cells)
+        return all(len(c.vertices) == 3 or c._across is not None for c in self.cells)
 
     def edge_map(self) -> dict[tuple[LatticePoint, LatticePoint], list[int]]:
         """Map from undirected cell edge to the indices of its incident cells."""
         edges: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
+        get = edges.get
         for i, c in enumerate(self.cells):
             for e in c._edge_keys:
-                edges.setdefault(e, []).append(i)
+                incident = get(e)
+                if incident is None:
+                    edges[e] = [i]
+                else:
+                    incident.append(i)
         return edges
 
     def interior_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
@@ -156,28 +161,36 @@ class DualSubdivision(_Record):
         edge-to-edge (area match, every edge shared by two cells or lying on
         the ambient boundary); return the edge map it checked.
 
-        The cells' areas and edges are computed once per cell.  Each cell
-        vertex is looked up once in the ambient's `side_bits`: an edge is on
+        The cells' areas and edges are computed once per cell.  The sides
+        each cell vertex lies on are read from the ambient's `side_bits`
+        cache, which the subdivisions of one ambient share: an edge is on
         the boundary when both ends lie on one side, and the cells are inside
-        when none of their vertices is outside."""
+        when none of their vertices is outside.  Every vertex is the end of
+        an edge, so the edge loop reads them all."""
         cells, ambient = self.cells, self.ambient
-        if sum(c.double_area() for c in cells) != ambient.double_area():
+        if sum([c._double_area for c in cells]) != ambient._double_area:
             raise MalformedSubdivision("cell areas do not add up to the ambient area")
         edges = self.edge_map()
-        bits = {}
-        for c in cells:
-            for v in c.vertices:
-                if v not in bits:
-                    bits[v] = ambient.side_bits(v)
+        bits, side_bits = ambient._side_bits_seen, ambient.side_bits
+        outside = False
         for (a, b), cs in edges.items():
-            if len(cs) > 2:
-                raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            on_boundary = (bits[a] or 0) & (bits[b] or 0)
-            if len(cs) == 1 and not on_boundary:
-                raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
-            if len(cs) == 2 and on_boundary:
-                raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
-        if None in bits.values():
+            ba = bits[a] if a in bits else side_bits(a)
+            bb = bits[b] if b in bits else side_bits(b)
+            if ba is None or bb is None:
+                outside = True
+                on_boundary = 0
+            else:
+                on_boundary = ba & bb
+            n = len(cs)
+            if n == 1:
+                if not on_boundary:
+                    raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
+            elif n == 2:
+                if on_boundary:
+                    raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
+            else:
+                raise MalformedSubdivision(f"edge {a}-{b} belongs to {n} cells")
+        if outside:
             raise MalformedSubdivision("cell sticks out of the ambient polygon")
         return edges
 

@@ -31,8 +31,9 @@ only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Callable, Mapping, Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 from .lattice import LatticePoint, LatticePolygon, LinearOrder, _Record, cross, sub
@@ -308,9 +309,13 @@ def vertex_welschinger_sign(T: LatticePolygon) -> int:
 # -- marked dual graphs -------------------------------------------------------
 
 EdgeKey = tuple[LatticePoint, LatticePoint]
-# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray;
-# a chain cut at a marked edge e also ends at ("mark", e).
+# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray.
+# Inside, a terminal is an int: the triangle's index, or -1 for the end.
 Terminal = tuple
+
+
+def _terminal(t: int) -> Terminal:
+    return ("tri", t) if t >= 0 else ("end",)
 
 
 class Chain(_Record):
@@ -326,14 +331,19 @@ class Chain(_Record):
                  weight: int, direction: LatticePoint):
         self.__dict__.update(edges=edges, terminals=terminals, weight=weight, direction=direction)
 
-    def vector(self) -> LatticePoint:
-        return sub(self.edges[0][1], self.edges[0][0])
-
 
 class MarkedDualGraph(_Record):
     """Combinatorial dual of a decoded subdivision: a trivalent node per
     triangle, a crossing per parallelogram, chains of dual edges, one end
-    per boundary edge, and the path steps as marked edges."""
+    per boundary edge, and the path steps as marked edges.
+
+    Inside, each chain is a row (edges, left, right) with int terminals.
+    `marked_dual_graph` keeps the rows and builds the `Chain` records on
+    first read of `chains`; a graph built through its constructor keeps the
+    chains it is given and derives the rows on first use.  The other form
+    is kept in the instance `__dict__` by `cached_property`, as a polygon's
+    derived data is, so equality, hash and repr do not change.
+    """
 
     triangles: tuple[LatticePolygon, ...]
     crossings: tuple[LatticePolygon, ...]
@@ -344,28 +354,83 @@ class MarkedDualGraph(_Record):
                  chains: tuple[Chain, ...], marked: tuple[EdgeKey, ...]):
         self.__dict__.update(triangles=triangles, crossings=crossings, chains=chains, marked=marked)
 
+    @classmethod
+    def _from_rows(cls, triangles: tuple[LatticePolygon, ...], crossings: tuple[LatticePolygon, ...],
+                   rows: tuple[tuple[tuple[EdgeKey, ...], int, int], ...],
+                   marked: tuple[EdgeKey, ...]) -> "MarkedDualGraph":
+        self = object.__new__(cls)
+        self.__dict__.update(triangles=triangles, crossings=crossings, _rows=rows, marked=marked)
+        return self
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        chains = []
+        for edges, left, right in self._rows:
+            (ax, ay), (bx, by) = edges[0]
+            vx, vy = bx - ax, by - ay
+            w = gcd(vx, vy)
+            chains.append(Chain(edges, (_terminal(left), _terminal(right)), w, (-vy // w, vx // w)))
+        return tuple(chains)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[EdgeKey, ...], int, int], ...]:
+        return tuple(
+            (c.edges, *(t[1] if t[0] == "tri" else -1 for t in c.terminals)) for c in self.chains
+        )
+
     def chain_of(self, edge: EdgeKey) -> int:
-        for i, c in enumerate(self.chains):
-            if edge in c.edges:
+        for i, (edges, _, _) in enumerate(self._rows):
+            if edge in edges:
                 return i
         raise KeyError(f"edge {edge} is on no chain")
 
 
-def _pieces(G: MarkedDualGraph, marked: set) -> list[tuple[Terminal, Terminal, LatticePoint]]:
-    """Cut every chain at its marked edges into pieces (terminal, terminal,
-    edge vector); the cut at a marked edge e is the terminal ("mark", e) of
-    the pieces on either side of it."""
+def _cut(rows, cuts: Mapping[EdgeKey, int]):
+    """Cut chain rows at the edges in `cuts` into pieces laid out as rows,
+    (edges, terminal, terminal), where the cut at e is the terminal cuts[e]
+    of the pieces on either side of it; a row with no cut is its own piece.
+    Returns the pieces, the pieces at each triangle terminal, in piece
+    order, and the pieces at the end."""
     pieces = []
-    for chain in G.chains:
-        (a, b), ((x0, y0), (x1, y1)) = chain.terminals, chain.edges[0]
-        v = (x1 - x0, y1 - y0)
-        for e in chain.edges:
-            if e in marked:
-                cut = ("mark", e)
-                pieces.append((a, cut, v))
+    legs: dict[int, list[int]] = defaultdict(list)
+    ends = []
+    for row in rows:
+        edges, a, b = row
+        for e in edges:
+            cut = cuts.get(e)
+            if cut is not None:
+                if a >= 0:
+                    legs[a].append(len(pieces))
+                elif a == -1:
+                    ends.append(len(pieces))
+                pieces.append((edges, a, cut))
                 a = cut
-        pieces.append((a, b, v))
-    return pieces
+        i = len(pieces)
+        pieces.append(row if a == row[1] else (edges, a, b))
+        if a >= 0:
+            legs[a].append(i)
+        if b >= 0:
+            legs[b].append(i)
+        if a == -1 or b == -1:
+            ends.append(i)
+    return pieces, legs, ends
+
+
+def _pieces(G: MarkedDualGraph, marked) -> list[tuple[Terminal, Terminal, tuple[EdgeKey, ...]]]:
+    """The graph's chains cut at the marked edges, as `curve_real_multiplicity`
+    cuts them, as (terminal, terminal, chain edges) with the terminals spelt
+    as a `Chain`'s; the cut at a marked edge e is ("mark", e)."""
+    marks = list(marked)
+    spelt = {-2 - k: ("mark", e) for k, e in enumerate(marks)}
+    pieces, _, _ = _cut(G._rows, {e: -2 - k for k, e in enumerate(marks)})
+    return [
+        (spelt.get(a) or _terminal(a), spelt.get(b) or _terminal(b), edges) for edges, a, b in pieces
+    ]
+
+
+# The distribution a mark leaf of each class nibble carries: that class,
+# weight 1, in the (weight, nibble) form of `_merge`'s alternatives.
+_LEAVES = tuple(((1, n),) for n in range(16))
 
 
 def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClass]) -> int:
@@ -374,65 +439,73 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
     The chains cut at their marks must form trees with exactly one boundary
     end each.  Rooted at its end, every triangle of a tree has two legs
     below it, so the tree folds from its mark leaves up: a leg carries a
-    distribution {class nibble: weight}, a mark leaf its own class with
-    weight 1, and the legs below a triangle merge by `_merge` into the leg
-    above.  The weights reaching the end sum to the tree's multiplicity;
-    the curve's is the product over its trees.
+    distribution of (weight, class nibble) pairs, a mark leaf its own class
+    with weight 1, and the legs below a triangle merge by `_merge` into the
+    leg above.  The weights reaching the end sum to the tree's
+    multiplicity; the curve's is the product over its trees.  The fold runs
+    on the graph's chain rows: a piece's terminals are ints, a triangle's
+    index, -1 for the end, and -2 - nibble for the cut at a mark of that
+    class.
     """
     marked = set(G.marked)
     if set(signs) != marked:
         raise ValueError("need a sign class for exactly the marked edges")
-    nibbles = {}
+    cuts = {}
     for e, cls in signs.items():
-        nibble = _fitting_nibble(sub(e[1], e[0]), frozenset(cls))
+        (x0, y0), (x1, y1) = e
+        nibble = _fitting_nibble((x1 - x0, y1 - y0), frozenset(cls))
         if nibble is None:
             raise ValueError(f"sign class {set(cls)} does not fit edge {e}")
-        nibbles[e] = nibble
-    pieces = _pieces(G, marked)
-    legs: dict[int, list[int]] = {}
-    for i, (a, b, _) in enumerate(pieces):
-        for t in (a, b):
-            if t[0] == "tri":
-                legs.setdefault(t[1], []).append(i)
-    seen: set[int] = set()
-    end = ("end",)
+        cuts[e] = -2 - nibble
+    pieces, legs, ends = _cut(G._rows, cuts)
+    seen = [False] * len(pieces)
 
-    def fold(i: int, far: Terminal) -> dict[int, int]:
-        """The class distribution carried up piece i from its far terminal."""
-        if far[0] == "mark":
-            return {nibbles[far[1]]: 1}
-        if far[0] == "end":
+    def fold(i: int, far: int) -> tuple[tuple[int, int], ...]:
+        """The class distribution carried up piece i from the triangle or
+        end `far`."""
+        if far == -1:
             raise IncompatibleGraph("component has 2 ends, expected exactly 1")
-        below = legs[far[1]].copy()
-        below.remove(i)
-        if len(below) != 2:
+        at = legs[far]
+        if len(at) != 3:
             raise IncompatibleGraph("trivalent node without exactly three legs")
-        ja, jb = below
-        if ja in seen or jb in seen:
+        j0, j1, j2 = at
+        ja, jb = (j1, j2) if j0 == i else (j0, j2) if j1 == i else (j0, j1)
+        if seen[ja] or seen[jb]:
             raise IncompatibleGraph("component is not a tree")
-        seen.add(ja)
-        seen.add(jb)
-        a, b = pieces[ja], pieces[jb]
-        da = fold(ja, a[1] if a[0] == far else a[0])
-        db = fold(jb, b[1] if b[0] == far else b[0])
+        seen[ja] = seen[jb] = True
+        ea, a0, a1 = pieces[ja]
+        eb, b0, b1 = pieces[jb]
+        t = a1 if a0 == far else a0
+        da = _LEAVES[-2 - t] if t < -1 else fold(ja, t)
+        t = b1 if b0 == far else b0
+        db = _LEAVES[-2 - t] if t < -1 else fold(jb, t)
         # the parity indices of the legs' vectors and the primitive parity
         # index of the vector above
-        (ax, ay), (bx, by), (mx, my) = a[2], b[2], pieces[i][2]
-        pa, pb = (ax & 1) << 1 | ay & 1, (bx & 1) << 1 | by & 1
+        ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) = ea[0], eb[0]
+        pa, pb = ((ax ^ bx) & 1) << 1 | (ay ^ by) & 1, ((cx ^ dx) & 1) << 1 | (cy ^ dy) & 1
+        (x0, y0), (x1, y1) = pieces[i][0][0]
+        mx, my = x1 - x0, y1 - y0
         g = gcd(mx, my)
         pm = (mx // g & 1) << 1 | my // g & 1
+        if len(da) == 1 and len(db) == 1:
+            (wa, ca), = da
+            (wb, cb), = db
+            alts = _merge(ca, cb, pa, pb, pm)
+            w = wa * wb
+            return alts if w == 1 else tuple((w * v, c) for v, c in alts)
         out: dict[int, int] = {}
-        for ca, wa in da.items():
-            for cb, wb in db.items():
+        for wa, ca in da:
+            for wb, cb in db:
                 for w, c in _merge(ca, cb, pa, pb, pm):
                     out[c] = out.get(c, 0) + wa * wb * w
-        return out
+        return tuple((w, c) for c, w in out.items())
 
     total = 1
-    for i, (a, b, _) in enumerate(pieces):
-        if a == end or b == end:
-            seen.add(i)
-            total *= sum(fold(i, b if a == end else a).values())
-    if len(seen) != len(pieces):
+    for i in ends:
+        seen[i] = True
+        _, a, b = pieces[i]
+        t = b if a == -1 else a
+        total *= sum(w for w, _ in (_LEAVES[-2 - t] if t < -1 else fold(i, t)))
+    if not all(seen):
         raise IncompatibleGraph("component has 0 ends, expected exactly 1")
     return total

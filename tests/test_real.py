@@ -293,7 +293,7 @@ def _brute_real_multiplicity(G, signs):
     4 for every marked even-weight chain."""
     chain_data = []
     for chain in G.chains:
-        v = chain.vector()
+        v = sub(chain.edges[0][1], chain.edges[0][0])
         pp = _primitive_parity(v)
         marks = [signs[e] for e in chain.edges if e in signs]
         classes, done = [], set()
@@ -482,6 +482,39 @@ def test_quartic_pipeline_output_is_pinned():
     assert (curves, h.hexdigest()) == _QUARTIC_PIPELINE_DIGEST
 
 
+def test_graph_built_by_hand_equals_decoded_graph():
+    # A decoded graph keeps its chains as int rows and builds the Chain
+    # records on first read; a graph built through the constructor keeps
+    # the given chains and derives the rows on first use.  Rebuilt by hand,
+    # every decoded quartic graph is the same value with the same
+    # curve-level real multiplicity.
+    curves = 0
+    for order in (DEFAULT, LinearOrder((2, -1), (1, 3))):
+        for g in (0, 1):
+            P = standard_triangle(4)
+            n = 11 + g
+            choice = [QUADRANTS[(3 * k + g) % 4] for k in range(n)]
+            for pts in enumerate_paths(P, order, n):
+                signs = _graph_signs(pts, choice)
+                for c in decode(P, order, pts):
+                    G = marked_dual_graph(c)
+                    assert "chains" not in vars(G)
+                    m = curve_real_multiplicity(G, signs)
+                    assert "chains" not in vars(G)
+                    chains = tuple(
+                        Chain(edges=ch.edges, terminals=ch.terminals, weight=ch.weight,
+                              direction=ch.direction)
+                        for ch in G.chains
+                    )
+                    H = MarkedDualGraph(triangles=G.triangles, crossings=G.crossings,
+                                        chains=chains, marked=G.marked)
+                    assert "_rows" not in vars(H)
+                    assert curve_real_multiplicity(H, signs) == m
+                    assert H == G and repr(H) == repr(G) and hash(H) == hash(G)
+                    curves += 1
+    assert curves == _QUARTIC_PIPELINE_DIGEST[0]
+
+
 @pytest.mark.parametrize("P, g, total, curves, digest", [
     (standard_triangle(5), 3, 7915, 2496, "012fe903a1b12d9d87fc76c586e69f105a1b910e8bf05b3b3e47d4ecfa0ce2e2"),
     (grid_rectangle(3, 3), 0, 4115, 2033, "da35d9b125f99f5ea92674bdbe57f06a3a9ee359fb73a269e5dad64fc2f71574"),
@@ -587,7 +620,7 @@ def test_incompatible_graph_two_ends():
     e = _edge_key((0, 0), (1, 0))
     chain = Chain(edges=(e,), terminals=(("end",), ("end",)), weight=1, direction=(0, 1))
     G = MarkedDualGraph(triangles=(), crossings=(), chains=(chain,), marked=())
-    with pytest.raises(IncompatibleGraph):
+    with pytest.raises(IncompatibleGraph, match="^component has 2 ends, expected exactly 1$"):
         curve_real_multiplicity(G, {})
 
 
@@ -618,12 +651,12 @@ def test_incompatible_graph_no_end_or_two_legs():
     signs = {e: sign_class_of((1, 0), (0, 0)) for e in (e1, e2)}
     chain = Chain(edges=(e1, e2), terminals=(("end",), ("end",)), weight=1, direction=(0, 1))
     G = MarkedDualGraph(triangles=(), crossings=(), chains=(chain,), marked=(e1, e2))
-    with pytest.raises(IncompatibleGraph):
+    with pytest.raises(IncompatibleGraph, match="^component has 0 ends, expected exactly 1$"):
         curve_real_multiplicity(G, signs)
     chains = tuple(
         Chain(edges=(e,), terminals=(("tri", 0), ("end",)), weight=1, direction=(0, 1))
         for e in (e1, e2)
     )
     G = MarkedDualGraph(triangles=(T,), crossings=(), chains=chains, marked=(e2,))
-    with pytest.raises(IncompatibleGraph):
+    with pytest.raises(IncompatibleGraph, match="^trivalent node without exactly three legs$"):
         curve_real_multiplicity(G, {e2: signs[e2]})
