@@ -569,4 +569,6 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
         if key not in emap:
             raise MalformedSubdivision(f"marked step {a}-{b} is not a subdivision edge")
         marked.append(key)
-    return MarkedDualGraph._from_rows(tuple(triangles), tuple(crossings), tuple(rows), tuple(marked))
+    return MarkedDualGraph._from_rows(
+        tuple(triangles), tuple(crossings), tuple(rows), tuple(marked)
+    )

@@ -176,7 +176,7 @@ class LatticePolygon(_Record):
         return tuple(map(_edge_key, v, v[1:] + v[:1]))
 
     @cached_property
-    def _across(self) -> dict[tuple[LatticePoint, LatticePoint], tuple[LatticePoint, LatticePoint]] | None:
+    def _across(self) -> dict | None:
         """For a parallelogram, each side as an undirected edge mapped to the
         opposite side; None for any other polygon."""
         v = self.vertices

@@ -310,8 +310,10 @@ def vertex_welschinger_sign(T: LatticePolygon) -> int:
 
 EdgeKey = tuple[LatticePoint, LatticePoint]
 # A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray.
-# Inside, a terminal is an int: the triangle's index, or -1 for the end.
+# Inside, a terminal is an int: the triangle's index, or -1 for the end, and
+# a chain is a row (edges, left terminal, right terminal).
 Terminal = tuple
+Row = tuple[tuple[EdgeKey, ...], int, int]
 
 
 def _terminal(t: int) -> Terminal:
@@ -355,9 +357,10 @@ class MarkedDualGraph(_Record):
         self.__dict__.update(triangles=triangles, crossings=crossings, chains=chains, marked=marked)
 
     @classmethod
-    def _from_rows(cls, triangles: tuple[LatticePolygon, ...], crossings: tuple[LatticePolygon, ...],
-                   rows: tuple[tuple[tuple[EdgeKey, ...], int, int], ...],
+    def _from_rows(cls, triangles: tuple[LatticePolygon, ...],
+                   crossings: tuple[LatticePolygon, ...], rows: tuple[Row, ...],
                    marked: tuple[EdgeKey, ...]) -> "MarkedDualGraph":
+        """The graph on chain rows that `marked_dual_graph` walked."""
         self = object.__new__(cls)
         self.__dict__.update(triangles=triangles, crossings=crossings, _rows=rows, marked=marked)
         return self
@@ -373,7 +376,7 @@ class MarkedDualGraph(_Record):
         return tuple(chains)
 
     @cached_property
-    def _rows(self) -> tuple[tuple[tuple[EdgeKey, ...], int, int], ...]:
+    def _rows(self) -> tuple[Row, ...]:
         return tuple(
             (c.edges, *(t[1] if t[0] == "tri" else -1 for t in c.terminals)) for c in self.chains
         )
@@ -385,7 +388,7 @@ class MarkedDualGraph(_Record):
         raise KeyError(f"edge {edge} is on no chain")
 
 
-def _cut(rows, cuts: Mapping[EdgeKey, int]):
+def _cut(rows: tuple[Row, ...], cuts: Mapping[EdgeKey, int]):
     """Cut chain rows at the edges in `cuts` into pieces laid out as rows,
     (edges, terminal, terminal), where the cut at e is the terminal cuts[e]
     of the pieces on either side of it; a row with no cut is its own piece.
@@ -424,13 +427,59 @@ def _pieces(G: MarkedDualGraph, marked) -> list[tuple[Terminal, Terminal, tuple[
     spelt = {-2 - k: ("mark", e) for k, e in enumerate(marks)}
     pieces, _, _ = _cut(G._rows, {e: -2 - k for k, e in enumerate(marks)})
     return [
-        (spelt.get(a) or _terminal(a), spelt.get(b) or _terminal(b), edges) for edges, a, b in pieces
+        (spelt.get(a) or _terminal(a), spelt.get(b) or _terminal(b), edges)
+        for edges, a, b in pieces
     ]
 
 
 # The distribution a mark leaf of each class nibble carries: that class,
 # weight 1, in the (weight, nibble) form of `_merge`'s alternatives.
 _LEAVES = tuple(((1, n),) for n in range(16))
+
+
+def _fold(pieces: list, legs: dict[int, list[int]], seen: list[bool], i: int,
+          far: int) -> tuple[tuple[int, int], ...]:
+    """The class distribution carried up piece i from the triangle or end
+    `far`, over the pieces, legs and end pieces that `_cut` returns; `seen`
+    flags the pieces folded so far.  A module function, not a closure: a
+    closure that calls itself is a reference cycle, which would keep each
+    curve's pieces alive until the cyclic collector runs."""
+    if far == -1:
+        raise IncompatibleGraph("component has 2 ends, expected exactly 1")
+    at = legs[far]
+    if len(at) != 3:
+        raise IncompatibleGraph("trivalent node without exactly three legs")
+    j0, j1, j2 = at
+    ja, jb = (j1, j2) if j0 == i else (j0, j2) if j1 == i else (j0, j1)
+    if seen[ja] or seen[jb]:
+        raise IncompatibleGraph("component is not a tree")
+    seen[ja] = seen[jb] = True
+    ea, a0, a1 = pieces[ja]
+    eb, b0, b1 = pieces[jb]
+    t = a1 if a0 == far else a0
+    da = _LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, ja, t)
+    t = b1 if b0 == far else b0
+    db = _LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, jb, t)
+    # the parity indices of the legs' vectors and the primitive parity
+    # index of the vector above
+    ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) = ea[0], eb[0]
+    pa, pb = ((ax ^ bx) & 1) << 1 | (ay ^ by) & 1, ((cx ^ dx) & 1) << 1 | (cy ^ dy) & 1
+    (x0, y0), (x1, y1) = pieces[i][0][0]
+    mx, my = x1 - x0, y1 - y0
+    g = gcd(mx, my)
+    pm = (mx // g & 1) << 1 | my // g & 1
+    if len(da) == 1 and len(db) == 1:
+        (wa, ca), = da
+        (wb, cb), = db
+        alts = _merge(ca, cb, pa, pb, pm)
+        w = wa * wb
+        return alts if w == 1 else tuple((w * v, c) for v, c in alts)
+    out: dict[int, int] = {}
+    for wa, ca in da:
+        for wb, cb in db:
+            for w, c in _merge(ca, cb, pa, pb, pm):
+                out[c] = out.get(c, 0) + wa * wb * w
+    return tuple((w, c) for c, w in out.items())
 
 
 def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClass]) -> int:
@@ -459,53 +508,12 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
         cuts[e] = -2 - nibble
     pieces, legs, ends = _cut(G._rows, cuts)
     seen = [False] * len(pieces)
-
-    def fold(i: int, far: int) -> tuple[tuple[int, int], ...]:
-        """The class distribution carried up piece i from the triangle or
-        end `far`."""
-        if far == -1:
-            raise IncompatibleGraph("component has 2 ends, expected exactly 1")
-        at = legs[far]
-        if len(at) != 3:
-            raise IncompatibleGraph("trivalent node without exactly three legs")
-        j0, j1, j2 = at
-        ja, jb = (j1, j2) if j0 == i else (j0, j2) if j1 == i else (j0, j1)
-        if seen[ja] or seen[jb]:
-            raise IncompatibleGraph("component is not a tree")
-        seen[ja] = seen[jb] = True
-        ea, a0, a1 = pieces[ja]
-        eb, b0, b1 = pieces[jb]
-        t = a1 if a0 == far else a0
-        da = _LEAVES[-2 - t] if t < -1 else fold(ja, t)
-        t = b1 if b0 == far else b0
-        db = _LEAVES[-2 - t] if t < -1 else fold(jb, t)
-        # the parity indices of the legs' vectors and the primitive parity
-        # index of the vector above
-        ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) = ea[0], eb[0]
-        pa, pb = ((ax ^ bx) & 1) << 1 | (ay ^ by) & 1, ((cx ^ dx) & 1) << 1 | (cy ^ dy) & 1
-        (x0, y0), (x1, y1) = pieces[i][0][0]
-        mx, my = x1 - x0, y1 - y0
-        g = gcd(mx, my)
-        pm = (mx // g & 1) << 1 | my // g & 1
-        if len(da) == 1 and len(db) == 1:
-            (wa, ca), = da
-            (wb, cb), = db
-            alts = _merge(ca, cb, pa, pb, pm)
-            w = wa * wb
-            return alts if w == 1 else tuple((w * v, c) for v, c in alts)
-        out: dict[int, int] = {}
-        for wa, ca in da:
-            for wb, cb in db:
-                for w, c in _merge(ca, cb, pa, pb, pm):
-                    out[c] = out.get(c, 0) + wa * wb * w
-        return tuple((w, c) for c, w in out.items())
-
     total = 1
     for i in ends:
         seen[i] = True
         _, a, b = pieces[i]
         t = b if a == -1 else a
-        total *= sum(w for w, _ in (_LEAVES[-2 - t] if t < -1 else fold(i, t)))
+        total *= sum(w for w, _ in (_LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, i, t)))
     if not all(seen):
         raise IncompatibleGraph("component has 0 ends, expected exactly 1")
     return total
