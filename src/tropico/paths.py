@@ -168,7 +168,7 @@ class DualSubdivision(_Record):
         when none of their vertices is outside.  Every vertex is the end of
         an edge, so the edge loop reads them all."""
         cells, ambient = self.cells, self.ambient
-        if sum([c._double_area for c in cells]) != ambient._double_area:
+        if sum(c.double_area() for c in cells) != ambient.double_area():
             raise MalformedSubdivision("cell areas do not add up to the ambient area")
         edges = self.edge_map()
         bits, side_bits = ambient._side_bits_seen, ambient.side_bits
@@ -176,20 +176,15 @@ class DualSubdivision(_Record):
         for (a, b), cs in edges.items():
             ba = bits[a] if a in bits else side_bits(a)
             bb = bits[b] if b in bits else side_bits(b)
+            if len(cs) > 2:
+                raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
             if ba is None or bb is None:
                 outside = True
-                on_boundary = 0
-            else:
-                on_boundary = ba & bb
-            n = len(cs)
-            if n == 1:
-                if not on_boundary:
-                    raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
-            elif n == 2:
-                if on_boundary:
-                    raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
-            else:
-                raise MalformedSubdivision(f"edge {a}-{b} belongs to {n} cells")
+            on_boundary = (ba or 0) & (bb or 0)
+            if len(cs) == 1 and not on_boundary:
+                raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
+            if len(cs) == 2 and on_boundary:
+                raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
         if outside:
             raise MalformedSubdivision("cell sticks out of the ambient polygon")
         return edges
