@@ -208,7 +208,9 @@ def cmd_paths(args) -> int:
     order = _parse_order(args.order)
     n = _steps_for_genus(P, args.genus)
     # a listing shows both sides of every path; a summary may leave out the
-    # paths that cannot contribute, so their number comes from the binomial
+    # paths that cannot contribute, so their number comes from the binomial.
+    # Per-path `mu_side` rows in place of the unpruned walk were slower: tri5
+    # g=0 0.56-0.82 -> 0.83-1.05 s, rect4 g=0 15-19 -> 23-31 s (2-vCPU Xeon)
     rows = list(_path_sides(P, order, n, lazy=not args.list))
     n_paths = comb(len(P.lattice_points()) - 2, n - 1)
     total = sum(plus * minus for _, plus, minus in rows)

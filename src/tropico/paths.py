@@ -421,6 +421,9 @@ class _Context:
                 if step_class:
                     classes |= step_class(k - 1, X[c] - X[j], Y[c] - Y[j]) << 4 * j
                 g_p, w_p, g_m, w_m = f_p, v_p, f_m, v_m
+                # both sides inline: one stretch helper called from each (787k
+                # calls on tri6 g=0) was slower, best of 4 on a 2-vCPU Xeon,
+                # tri6 g=0 1.01-1.10 -> 1.18-1.94 s, rect4 g=0 0.37-0.40 -> 0.44-0.58 s
                 if alpha_p & bit:
                     R = bit - (2 << f_p)
                     ours = m & R

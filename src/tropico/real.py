@@ -26,7 +26,8 @@ two corner nibbles, and the recursion puts the result in its slot.
 `real_signed_count` sums over the same walk as the other counts, which
 drops every prefix whose signed product is 0.  Frozenset classes appear
 only at the public boundary: `sign_class_of`, `SignedPath`, the `signs` of
-`curve_real_multiplicity`, and `_combine`, `_merge` on frozensets.
+`curve_real_multiplicity`, the one fit test `_fitting_nibble`, and
+`_combine`, which calls `_merge` on the nibbles of two frozenset classes.
 """
 
 from __future__ import annotations
@@ -54,19 +55,6 @@ class IncompatibleGraph(ValueError):
     """A marked dual graph component is not a tree with exactly one end."""
 
 
-def _parity(v: LatticePoint) -> tuple[int, int]:
-    return (v[0] & 1, v[1] & 1)
-
-
-def _primitive_parity(v: LatticePoint) -> tuple[int, int]:
-    g = gcd(abs(v[0]), abs(v[1]))
-    return ((v[0] // g) & 1, (v[1] // g) & 1)
-
-
-def _xor(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] ^ b[0], a[1] ^ b[1])
-
-
 def _index(r: tuple[int, int]) -> int:
     """The index 2 * x + y in QUADRANTS of a quadrant sign, or of the parity
     of a vector."""
@@ -74,7 +62,10 @@ def _index(r: tuple[int, int]) -> int:
 
 
 def _primitive_index(v: LatticePoint) -> int:
-    return _index(_primitive_parity(v))
+    """The parity index of the primitive vector of a nonzero v."""
+    x, y = v
+    g = gcd(x, y)
+    return (x // g & 1) << 1 | y // g & 1
 
 
 def _class_nibble(t: int, pp: int) -> int:
@@ -86,7 +77,7 @@ def _class_nibble(t: int, pp: int) -> int:
 def _nibble(cls: SignClass) -> int:
     """A sign class as a 4-bit mask: the bit of each quadrant's index in
     QUADRANTS."""
-    return sum(1 << (2 * r[0] + r[1]) for r in cls)
+    return sum(1 << _index(r) for r in cls)
 
 
 def _class_of_nibble(x: int) -> SignClass:
@@ -98,12 +89,9 @@ def sign_class_of(step: LatticePoint, representative: tuple[int, int]) -> SignCl
     {r, r + primitive(step) mod 2}."""
     if step == (0, 0):
         raise ZeroStep("zero step")
-    r = (representative[0] & 1, representative[1] & 1)
-    return frozenset({r, _xor(r, _primitive_parity(step))})
-
-
-def _is_class_of(step: LatticePoint, cls: SignClass) -> bool:
-    return bool(cls) and sign_class_of(step, next(iter(cls))) == cls
+    # r first: a frozenset's repr follows insertion where hashes collide
+    t = _index(representative)
+    return frozenset({QUADRANTS[t], QUADRANTS[t ^ _primitive_index(step)]})
 
 
 # The classes modulo each primitive parity, by its index: the two classes a
@@ -115,17 +103,11 @@ _FITTING = {
 
 
 def _fitting_nibble(step: LatticePoint, cls: SignClass) -> int | None:
-    """The nibble of cls when it is a sign class of the step (`_is_class_of`),
-    else None.  A class of a nonzero step is looked up among the two
-    classes modulo the step's primitive parity; `_is_class_of` rules on the
-    rest, and raises where it raises."""
-    x, y = step
-    g = gcd(x, y)
-    if g:
-        nibble = _FITTING[(x // g & 1) << 1 | y // g & 1].get(cls)
-        if nibble is not None:
-            return nibble
-    return _nibble(cls) if _is_class_of(step, cls) else None
+    """The nibble of cls when it is a sign class of the step, else None;
+    ZeroStep for a zero step, whatever the class."""
+    if step == (0, 0):
+        raise ZeroStep("zero step")
+    return _FITTING[_primitive_index(step)].get(cls)
 
 
 def _pack(classes, m: int) -> int:
@@ -190,7 +172,7 @@ class SignedPath(_Record):
         if len(signs) != len(pts) - 1:
             raise ValueError("need exactly one sign class per path step")
         for j, cls in enumerate(signs):
-            if not _is_class_of(sub(pts[j + 1], pts[j]), cls):
+            if _fitting_nibble(sub(pts[j + 1], pts[j]), cls) is None:
                 raise ValueError(f"sign class {set(cls)} does not fit step {j}")
 
     @classmethod
@@ -210,7 +192,7 @@ def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     """0 when the triangle spanned by u, v has an even side, else -1 to the
     number of its interior lattice points."""
     w = (u[0] + v[0], u[1] + v[1])
-    if _parity(u) == (0, 0) or _parity(v) == (0, 0) or _parity(w) == (0, 0):
+    if _index(u) == 0 or _index(v) == 0 or _index(w) == 0:
         return 0
     boundary = (
         gcd(abs(u[0]), abs(u[1]))
@@ -417,19 +399,6 @@ def _cut(rows: tuple[Row, ...], cuts: Mapping[EdgeKey, int]):
         if a == -1 or b == -1:
             ends.append(i)
     return pieces, legs, ends
-
-
-def _pieces(G: MarkedDualGraph, marked) -> list[tuple[Terminal, Terminal, tuple[EdgeKey, ...]]]:
-    """The graph's chains cut at the marked edges, as `curve_real_multiplicity`
-    cuts them, as (terminal, terminal, chain edges) with the terminals spelt
-    as a `Chain`'s; the cut at a marked edge e is ("mark", e)."""
-    marks = list(marked)
-    spelt = {-2 - k: ("mark", e) for k, e in enumerate(marks)}
-    pieces, _, _ = _cut(G._rows, {e: -2 - k for k, e in enumerate(marks)})
-    return [
-        (spelt.get(a) or _terminal(a), spelt.get(b) or _terminal(b), edges)
-        for edges, a, b in pieces
-    ]
 
 
 # The distribution a mark leaf of each class nibble carries: that class,

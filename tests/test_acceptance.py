@@ -30,7 +30,6 @@ from tropico.paths import (
 )
 from tropico.real import (
     SignedPath,
-    _pieces,
     curve_real_multiplicity,
     mu_real,
     nu_real_side,
@@ -306,7 +305,7 @@ def test_criterion_10_decode_consistency():
                 for a, b in S.boundary_edges():
                     assert lattice_length(sub(b, a)) == 1
                 G = marked_dual_graph(c)
-                pieces = _pieces(G, set(G.marked))
+                pieces = _cut_at_marks(G)
                 for comp in _components(pieces):
                     assert sum(t == ("end",) for i in comp for t in pieces[i][:2]) == 1
                 marks = sum(t[0] == "mark" for a, b, _ in pieces for t in (a, b))
@@ -317,6 +316,22 @@ def test_criterion_10_decode_consistency():
         f" subdivision tiles, has s+2g-2 triangles and unit boundary edges;"
         f" all {curves_seen} marked dual graphs split into one-end trees"
     )
+
+
+def _cut_at_marks(G):
+    """The graph's chains cut at their marked edges, as (terminal, terminal,
+    chain edges); the cut at a marked edge e is the terminal ("mark", e) of
+    the pieces on either side of it."""
+    marked = set(G.marked)
+    pieces = []
+    for chain in G.chains:
+        a, b = chain.terminals
+        for e in chain.edges:
+            if e in marked:
+                pieces.append((a, ("mark", e), chain.edges))
+                a = ("mark", e)
+        pieces.append((a, b, chain.edges))
+    return pieces
 
 
 def _components(pieces):

@@ -42,6 +42,7 @@ from tropico.real import (
     mu_real_side,
     nu_real_side,
     sign_class_of,
+    welschinger_count,
 )
 
 DEFAULT = LinearOrder.default()
@@ -169,6 +170,24 @@ def test_counts_match_kleiman_piene_node_polynomials():
     # the cells quoted with the polynomials
     assert count(standard_triangle(3), -2) == 15
     assert [count(standard_triangle(6), g) for g in (7, 8, 9)] == [41310, 2370, 75]
+
+
+def test_blow_up_identity():
+    """Cutting the unit corner (0, d) off tri d gives the toric blow-up of
+    the plane at a point.  A degree-d curve through one more point is a
+    curve of class dH - E there, so both counts agree with tri d's at every
+    genus, although the two polygons differ in their paths."""
+    for d in (3, 4, 5):
+        P = LatticePolygon([(0, 0), (d, 0), (1, d - 1), (0, d - 1)])
+        T = standard_triangle(d)
+        assert P.counts()[0] == T.counts()[0] - 1
+        g_max = T.counts()[1]
+        counts = [count(P, g) for g in range(-1, g_max)]
+        assert counts == [count(T, g) for g in range(-1, g_max)], d
+        assert [welschinger_count(P, g) for g in range(-1, g_max)] == [
+            welschinger_count(T, g) for g in range(-1, g_max)
+        ], d
+    assert counts == [65949, 109781, 90027, 36975, 7915, 882, 48]
 
 
 def test_count_is_order_independent():

@@ -4,6 +4,7 @@ phase enumeration on decoded curves."""
 
 import hashlib
 import itertools
+import math
 import random
 import re
 
@@ -29,10 +30,7 @@ from tropico.real import (
     MarkedDualGraph,
     SignedPath,
     ZeroStep,
-    _parity,
-    _primitive_parity,
     _triangle_welschinger_weight,
-    _xor,
     curve_real_multiplicity,
     mu_real,
     mu_real_side,
@@ -49,6 +47,19 @@ QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # -- sign classes -------------------------------------------------------------
+
+
+def _parity(v):
+    return (v[0] % 2, v[1] % 2)
+
+
+def _primitive_parity(v):
+    g = math.gcd(v[0], v[1])
+    return _parity((v[0] // g, v[1] // g))
+
+
+def _xor(a, b):
+    return ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2)
 
 
 def test_sign_class_examples():
@@ -106,6 +117,23 @@ def test_signed_path_construction():
         SignedPath(path, (frozenset({(0, 0), (1, 0)}), frozenset({(0, 0), (1, 1)})))
     with pytest.raises(ZeroStep):
         SignedPath.from_choices(((0, 2), (0, 2), (2, 0)), [(0, 0), (0, 0)])
+
+
+def test_signed_path_fit_test_exhaustive():
+    # every subset of QUADRANTS, and a class of unreduced signs
+    classes = [frozenset(c) for k in range(5) for c in itertools.combinations(QUADRANTS, k)]
+    classes.append(frozenset({(2, 0), (3, 1)}))
+    for step in itertools.product(range(-3, 4), repeat=2):
+        path = ((0, 0), step)
+        for cls in classes:
+            if step == (0, 0):
+                with pytest.raises(ZeroStep):
+                    SignedPath(path, [cls])
+            elif any(cls == sign_class_of(step, r) for r in cls):
+                assert SignedPath(path, [cls]).signs == (cls,)
+            else:
+                with pytest.raises(ValueError, match="does not fit step 0"):
+                    SignedPath(path, [cls])
 
 
 # -- signed recursions: known values ------------------------------------------
