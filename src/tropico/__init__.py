@@ -31,12 +31,8 @@ _EXPORTS = {
         "mu_side",
     ),
     "real": (
-        "Chain",
-        "IncompatibleGraph",
-        "MarkedDualGraph",
         "SignedPath",
         "ZeroStep",
-        "curve_real_multiplicity",
         "mu_real",
         "mu_real_side",
         "nu_real_side",
@@ -46,7 +42,10 @@ _EXPORTS = {
         "welschinger_count",
     ),
     "curves": (
+        "Chain",
         "DegenerateSupport",
+        "IncompatibleGraph",
+        "MarkedDualGraph",
         "NotSimple",
         "ParallelDirections",
         "PlaneTropicalCurve",
@@ -54,6 +53,7 @@ _EXPORTS = {
         "canonicalize",
         "check_balancing",
         "curve_of",
+        "curve_real_multiplicity",
         "dual_subdivision",
         "genus_of_simple",
         "is_smooth",

@@ -322,9 +322,10 @@ def cmd_curve(args) -> int:
         "genus": genus_of_simple(sub_) if sub_.is_simple() else None,
         "smooth": is_smooth(sub_),
     }
-    print(json.dumps(doc))
+    # the SVG first: a path it cannot write leaves stdout empty
     if args.svg:
         _curve_svg(C, args.svg)
+    print(json.dumps(doc))
     return 0
 
 

@@ -4,17 +4,27 @@ A tropical polynomial is a maximum of affine forms indexed by lattice
 points.  Lifting each index to its coefficient height and taking upper
 faces of the convex hull subdivides the Newton polygon; the curve is the
 locus where the maximum is attained twice, dual to that subdivision cell
-by cell.  The same duality turns a decoded path subdivision into the
-marked graph consumed by the curve-level real multiplicity.
+by cell.  The same duality turns a decoded path subdivision into its
+marked dual graph, which this module owns: `marked_dual_graph` writes its
+chain rows, and `curve_real_multiplicity` cuts and folds them.
+
+That multiplicity is the oracle for the signed rule of `real`: it weighs
+one decoded curve on its marked dual graph.  Cut at the marks, the graph
+falls into trees with one boundary end each, and each tree folds from its
+mark leaves to its end.  The multiplicities of a path's curves sum to its
+signed multiplicity.  The fold calls `real._merge`, the one definition of
+how two sign classes meet at a trivalent vertex, and `real._fitting_nibble`,
+the one fit test.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from types import MappingProxyType
 
 from .lattice import (
@@ -30,13 +40,17 @@ from .lattice import (
     sub,
 )
 from .paths import DecodedCurve, DualSubdivision, MalformedSubdivision, _ambient_side
-from .real import EdgeKey, MarkedDualGraph
+from .real import SignClass, _fitting_nibble, _merge
 
 RationalPoint = tuple[Fraction, Fraction]
 
 
 class DegenerateSupport(ValueError):
     """The support spans no area, so there is no plane curve to extract."""
+
+
+class IncompatibleGraph(ValueError):
+    """A marked dual graph component is not a tree with exactly one end."""
 
 
 class NotSimple(ValueError):
@@ -479,6 +493,206 @@ def is_smooth(S: DualSubdivision) -> bool:
     return all(
         len(c.vertices) == 3 and c.double_area() == 1 for c in S.cells
     )
+
+
+# -- marked dual graphs -------------------------------------------------------
+
+EdgeKey = tuple[LatticePoint, LatticePoint]
+# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray.
+# Inside, a terminal is an int: the triangle's index, or -1 for the end, and
+# a chain is a row (edges, left terminal, right terminal).
+Terminal = tuple
+Row = tuple[tuple[EdgeKey, ...], int, int]
+
+
+def _terminal(t: int) -> Terminal:
+    return ("tri", t) if t >= 0 else ("end",)
+
+
+class Chain(_Record):
+    """A maximal run of parallel subdivision edges joined through
+    parallelogram crossings; dual to one straight piece of curve."""
+
+    edges: tuple[EdgeKey, ...]
+    terminals: tuple[Terminal, Terminal]
+    weight: int
+    direction: LatticePoint
+
+    def __init__(self, edges: tuple[EdgeKey, ...], terminals: tuple[Terminal, Terminal],
+                 weight: int, direction: LatticePoint):
+        self.__dict__.update(edges=edges, terminals=terminals, weight=weight, direction=direction)
+
+
+class MarkedDualGraph(_Record):
+    """Combinatorial dual of a decoded subdivision: a trivalent node per
+    triangle, a crossing per parallelogram, chains of dual edges, one end
+    per boundary edge, and the path steps as marked edges.
+
+    Inside, each chain is a row (edges, left, right) with int terminals.
+    `marked_dual_graph` keeps the rows and builds the `Chain` records on
+    first read of `chains`; a graph built through its constructor keeps the
+    chains it is given and derives the rows on first use.  The other form
+    is kept in the instance `__dict__` by `cached_property`, as a polygon's
+    derived data is, so equality, hash and repr do not change.
+    """
+
+    triangles: tuple[LatticePolygon, ...]
+    crossings: tuple[LatticePolygon, ...]
+    chains: tuple[Chain, ...]
+    marked: tuple[EdgeKey, ...]
+
+    def __init__(self, triangles: tuple[LatticePolygon, ...], crossings: tuple[LatticePolygon, ...],
+                 chains: tuple[Chain, ...], marked: tuple[EdgeKey, ...]):
+        self.__dict__.update(triangles=triangles, crossings=crossings, chains=chains, marked=marked)
+
+    @classmethod
+    def _from_rows(cls, triangles: tuple[LatticePolygon, ...],
+                   crossings: tuple[LatticePolygon, ...], rows: tuple[Row, ...],
+                   marked: tuple[EdgeKey, ...]) -> "MarkedDualGraph":
+        """The graph on chain rows that `marked_dual_graph` walked."""
+        self = object.__new__(cls)
+        self.__dict__.update(triangles=triangles, crossings=crossings, _rows=rows, marked=marked)
+        return self
+
+    @cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        chains = []
+        for edges, left, right in self._rows:
+            (ax, ay), (bx, by) = edges[0]
+            vx, vy = bx - ax, by - ay
+            w = gcd(vx, vy)
+            chains.append(Chain(edges, (_terminal(left), _terminal(right)), w, (-vy // w, vx // w)))
+        return tuple(chains)
+
+    @cached_property
+    def _rows(self) -> tuple[Row, ...]:
+        return tuple(
+            (c.edges, *(t[1] if t[0] == "tri" else -1 for t in c.terminals)) for c in self.chains
+        )
+
+    def chain_of(self, edge: EdgeKey) -> int:
+        for i, (edges, _, _) in enumerate(self._rows):
+            if edge in edges:
+                return i
+        raise KeyError(f"edge {edge} is on no chain")
+
+
+def _cut(rows: tuple[Row, ...], cuts: Mapping[EdgeKey, int]):
+    """Cut chain rows at the edges in `cuts` into pieces laid out as rows,
+    (edges, terminal, terminal), where the cut at e is the terminal cuts[e]
+    of the pieces on either side of it; a row with no cut is its own piece.
+    Returns the pieces, the pieces at each triangle terminal, in piece
+    order, and the pieces at the end."""
+    pieces = []
+    legs: dict[int, list[int]] = defaultdict(list)
+    ends = []
+    for row in rows:
+        edges, a, b = row
+        for e in edges:
+            cut = cuts.get(e)
+            if cut is not None:
+                if a >= 0:
+                    legs[a].append(len(pieces))
+                elif a == -1:
+                    ends.append(len(pieces))
+                pieces.append((edges, a, cut))
+                a = cut
+        i = len(pieces)
+        pieces.append(row if a == row[1] else (edges, a, b))
+        if a >= 0:
+            legs[a].append(i)
+        if b >= 0:
+            legs[b].append(i)
+        if a == -1 or b == -1:
+            ends.append(i)
+    return pieces, legs, ends
+
+
+# The distribution a mark leaf of each class nibble carries: that class,
+# weight 1, in the (weight, nibble) form of `_merge`'s alternatives.
+_LEAVES = tuple(((1, n),) for n in range(16))
+
+
+def _fold(pieces: list, legs: dict[int, list[int]], seen: list[bool], i: int,
+          far: int) -> tuple[tuple[int, int], ...]:
+    """The class distribution carried up piece i from the triangle or end
+    `far`, over the pieces, legs and end pieces that `_cut` returns; `seen`
+    flags the pieces folded so far.  A module function, not a closure: a
+    closure that calls itself is a reference cycle, which would keep each
+    curve's pieces alive until the cyclic collector runs."""
+    if far == -1:
+        raise IncompatibleGraph("component has 2 ends, expected exactly 1")
+    at = legs[far]
+    if len(at) != 3:
+        raise IncompatibleGraph("trivalent node without exactly three legs")
+    j0, j1, j2 = at
+    ja, jb = (j1, j2) if j0 == i else (j0, j2) if j1 == i else (j0, j1)
+    if seen[ja] or seen[jb]:
+        raise IncompatibleGraph("component is not a tree")
+    seen[ja] = seen[jb] = True
+    ea, a0, a1 = pieces[ja]
+    eb, b0, b1 = pieces[jb]
+    t = a1 if a0 == far else a0
+    da = _LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, ja, t)
+    t = b1 if b0 == far else b0
+    db = _LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, jb, t)
+    # the parity indices of the legs' vectors and the primitive parity
+    # index of the vector above
+    ((ax, ay), (bx, by)), ((cx, cy), (dx, dy)) = ea[0], eb[0]
+    pa, pb = ((ax ^ bx) & 1) << 1 | (ay ^ by) & 1, ((cx ^ dx) & 1) << 1 | (cy ^ dy) & 1
+    (x0, y0), (x1, y1) = pieces[i][0][0]
+    mx, my = x1 - x0, y1 - y0
+    g = gcd(mx, my)
+    pm = (mx // g & 1) << 1 | my // g & 1
+    if len(da) == 1 and len(db) == 1:
+        (wa, ca), = da
+        (wb, cb), = db
+        alts = _merge(ca, cb, pa, pb, pm)
+        w = wa * wb
+        return alts if w == 1 else tuple((w * v, c) for v, c in alts)
+    out: dict[int, int] = {}
+    for wa, ca in da:
+        for wb, cb in db:
+            for w, c in _merge(ca, cb, pa, pb, pm):
+                out[c] = out.get(c, 0) + wa * wb * w
+    return tuple((w, c) for c, w in out.items())
+
+
+def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClass]) -> int:
+    """Signed multiplicity of one marked curve.
+
+    The chains cut at their marks must form trees with exactly one boundary
+    end each.  Rooted at its end, every triangle of a tree has two legs
+    below it, so the tree folds from its mark leaves up: a leg carries a
+    distribution of (weight, class nibble) pairs, a mark leaf its own class
+    with weight 1, and the legs below a triangle merge by `_merge` into the
+    leg above.  The weights reaching the end sum to the tree's
+    multiplicity; the curve's is the product over its trees.  The fold runs
+    on the graph's chain rows: a piece's terminals are ints, a triangle's
+    index, -1 for the end, and -2 - nibble for the cut at a mark of that
+    class.
+    """
+    marked = set(G.marked)
+    if set(signs) != marked:
+        raise ValueError("need a sign class for exactly the marked edges")
+    cuts = {}
+    for e, cls in signs.items():
+        (x0, y0), (x1, y1) = e
+        nibble = _fitting_nibble((x1 - x0, y1 - y0), frozenset(cls))
+        if nibble is None:
+            raise ValueError(f"sign class {set(cls)} does not fit edge {e}")
+        cuts[e] = -2 - nibble
+    pieces, legs, ends = _cut(G._rows, cuts)
+    seen = [False] * len(pieces)
+    total = 1
+    for i in ends:
+        seen[i] = True
+        _, a, b = pieces[i]
+        t = b if a == -1 else a
+        total *= sum(w for w, _ in (_LEAVES[-2 - t] if t < -1 else _fold(pieces, legs, seen, i, t)))
+    if not all(seen):
+        raise IncompatibleGraph("component has 0 ends, expected exactly 1")
+    return total
 
 
 def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:

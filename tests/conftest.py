@@ -1,15 +1,17 @@
-"""Shared helpers: random concave coefficient draws and a floating grid
+"""Shared helpers: random concave coefficient draws, a floating grid
 oracle that samples the plane and checks every near-tie of the max against
-the reported curve."""
+the reported curve, and the irreducible split of plane curve counts."""
 
 import math
 from fractions import Fraction
-from math import lcm
+from functools import cache
+from math import comb, lcm
 
 import numpy as np
 
 from tropico.curves import TropicalPolynomial
-from tropico.lattice import LinearOrder
+from tropico.lattice import LinearOrder, standard_triangle
+from tropico.paths import InvalidGenus
 
 
 def random_concave(P, rng):
@@ -75,3 +77,40 @@ def run_grid_oracle(f, C, pitch_den=64):
     pts = grid_tie_points(f, C, pitch_den)
     assert len(pts) > 0
     assert all_near_curve(pts, C, 1 / pitch_den + 1e-9)
+
+
+@cache
+def irreducible_split(total):
+    """N_irr(d, g): the irreducible part of a count of plane curves of
+    degree d and genus g, `total(standard_triangle(d), g)`, such as `count`
+    or `welschinger_count`.
+
+    A curve through n = 3d + g - 1 generic points is a union of irreducible
+    components.  Fixing the one through the first point, of degree k and
+    genus g1 through n1 = 3k + g1 - 1 of the points, splits the count:
+
+        N(d, g) = sum over k = 1..d, g1 = 0..(k-1)(k-2)/2 of
+                  C(n - 1, n1 - 1) * N_irr(k, g1) * N(d - k, g - g1 + 1),
+
+    where N(0, g') is 1 when g' = 1 and 0 otherwise, and a genus that gives
+    n < 1 (`InvalidGenus`) counts 0.  Of the k = d terms only g1 = g is
+    nonzero, and it is N_irr(d, g) itself.
+    """
+    @cache
+    def whole(d, g):
+        if d == 0:
+            return int(g == 1)
+        try:
+            return total(standard_triangle(d), g)
+        except InvalidGenus:
+            return 0
+
+    @cache
+    def irreducible(d, g):
+        n = 3 * d + g - 1
+        return whole(d, g) - sum(
+            comb(n - 1, 3 * k + g1 - 2) * irreducible(k, g1) * whole(d - k, g - g1 + 1)
+            for k in range(1, d)
+            for g1 in range((k - 1) * (k - 2) // 2 + 1)
+        )
+    return irreducible

@@ -30,7 +30,6 @@ from tropico.paths import (
 )
 from tropico.real import (
     SignedPath,
-    curve_real_multiplicity,
     mu_real,
     nu_real_side,
     real_signed_count,
@@ -41,6 +40,7 @@ from tropico.curves import (
     TropicalPolynomial,
     check_balancing,
     curve_of,
+    curve_real_multiplicity,
     dual_subdivision,
     marked_dual_graph,
 )

@@ -277,6 +277,15 @@ def test_curve_svg_bounded_edges_and_weight_labels(tmp_path, capsys):
         assert tuple(text.count(tag) for tag in ("<line", "<circle", "<text")) == counts
 
 
+def test_curve_svg_unwritable_leaves_stdout_empty(tmp_path, capsys):
+    svg = tmp_path / "missing" / "line.svg"
+    code, out, err = run(["curve", "--poly", LINE, "--svg", str(svg)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert not svg.exists()
+
+
 def test_curve_from_file(tmp_path, capsys):
     p = tmp_path / "poly.json"
     p.write_text(LINE)

@@ -10,8 +10,8 @@ import pytest
 import tropico
 from tropico.lattice import LatticePolygon, LinearOrder, ToricDegree, standard_triangle, toric_degree
 from tropico.paths import DecodedCurve, DualSubdivision, decode, enumerate_paths, mu
-from tropico.real import Chain, MarkedDualGraph, SignedPath, sign_class_of
-from tropico.curves import marked_dual_graph
+from tropico.real import SignedPath, sign_class_of
+from tropico.curves import Chain, MarkedDualGraph, marked_dual_graph
 
 D3 = '{"vertices": [[0,0],[3,0],[0,3]]}'
 

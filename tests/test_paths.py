@@ -5,10 +5,10 @@ import itertools
 import json
 import random
 import weakref
-from math import gcd
+from math import comb, gcd
 
 import pytest
-from conftest import random_order
+from conftest import irreducible_split, random_order
 
 from tropico import paths
 from tropico.lattice import (
@@ -171,6 +171,28 @@ def test_counts_match_kleiman_piene_node_polynomials():
     # the cells quoted with the polynomials
     assert count(standard_triangle(3), -2) == 15
     assert [count(standard_triangle(6), g) for g in (7, 8, 9)] == [41310, 2370, 75]
+
+
+def test_irreducible_split_of_the_plane():
+    """The irreducible counts of `conftest.irreducible_split`: rational
+    curves by Kontsevich's recursion (Kontsevich and Manin, hep-th/9402147),
+    elliptic ones by Getzler ("Intersection theory on M_1,4 and elliptic
+    Gromov-Witten invariants", 1997), and the Welschinger invariants of the
+    plane by Itenberg, Kharlamov and Shustin."""
+    # N_d = sum over a + b = d of N_a N_b (a^2 b^2 C(3d-4, 3a-2) - a^3 b C(3d-4, 3a-1))
+    kontsevich = [None, 1]
+    for d in range(2, 7):
+        kontsevich.append(sum(
+            kontsevich[a] * kontsevich[d - a] * a * a * (d - a)
+            * ((d - a) * comb(3 * d - 4, 3 * a - 2) - a * comb(3 * d - 4, 3 * a - 1))
+            for a in range(1, d)
+        ))
+    assert kontsevich[1:] == [1, 1, 12, 620, 87304, 26312976]
+    n_irr = irreducible_split(count)
+    assert [n_irr(d, 0) for d in range(1, 7)] == kontsevich[1:]
+    assert [n_irr(d, 1) for d in range(3, 7)] == [1, 225, 87192, 57435240]
+    w_irr = irreducible_split(welschinger_count)
+    assert [w_irr(d, 0) for d in range(1, 7)] == [1, 1, 8, 240, 18264, 2845440]
 
 
 def test_blow_up_identity():

@@ -25,14 +25,10 @@ from tropico.lattice import (
 )
 from tropico.paths import Side, count, decode, enumerate_paths, mu, mu_side
 from tropico.real import (
-    Chain,
-    IncompatibleGraph,
-    MarkedDualGraph,
     SignedPath,
     ZeroStep,
     _fitting_nibble,
     _triangle_welschinger_weight,
-    curve_real_multiplicity,
     mu_real,
     mu_real_side,
     nu_real_side,
@@ -41,7 +37,13 @@ from tropico.real import (
     vertex_welschinger_sign,
     welschinger_count,
 )
-from tropico.curves import marked_dual_graph
+from tropico.curves import (
+    Chain,
+    IncompatibleGraph,
+    MarkedDualGraph,
+    curve_real_multiplicity,
+    marked_dual_graph,
+)
 
 DEFAULT = LinearOrder.default()
 QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -137,7 +139,7 @@ def test_signed_path_fit_test_exhaustive():
             if step == (0, 0):
                 with pytest.raises(ZeroStep):
                     SignedPath(path, [cls])
-            elif any(cls == sign_class_of(step, r) for r in cls):
+            elif cls <= set(QUADRANTS) and any(cls == sign_class_of(step, r) for r in cls):
                 assert SignedPath(path, [cls]).signs == (cls,)
             else:
                 with pytest.raises(ValueError, match="does not fit step 0"):
@@ -193,6 +195,24 @@ def test_real_count_equals_ungated_path_sum(P, g):
 def test_real_count_validates_sign_count():
     with pytest.raises(ValueError):
         real_signed_count(standard_triangle(2), 0, None, [(0, 0)] * 4)
+
+
+def test_quadrant_signs_are_checked_at_the_public_boundary():
+    # a sign outside QUADRANTS is refused by name, not reduced mod 2 or
+    # read past its end
+    P = standard_triangle(4)
+    path = ((0, 2), (1, 1), (2, 0))
+    for bad in ((2, 5), (0, 7), (0, 0, 0), (1,), (-1, 0), "01", 1):
+        match = re.escape(f"quadrant sign {bad!r}")
+        with pytest.raises(ValueError, match=match):
+            real_signed_count(P, 0, None, [(0, 0)] * 10 + [bad])
+        with pytest.raises(ValueError, match=match):
+            SignedPath.from_choices(path, [(0, 0), bad])
+        with pytest.raises(ValueError, match=match):
+            sign_class_of((1, 0), bad)
+    # the four signs themselves, as tuples or lists
+    assert real_signed_count(P, 0, None, [[0, 1]] * 11) == real_signed_count(P, 0, None, [(0, 1)] * 11)
+    assert sign_class_of((1, 0), [1, 1]) == {(0, 1), (1, 1)}
 
 
 def test_mu_real_parity_and_bounds_exhaustive_conic():
