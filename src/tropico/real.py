@@ -276,7 +276,8 @@ def real_signed_count(
 
 def welschinger_count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     """Welschinger-type signed count of real genus-g curves: the sum of
-    nu_plus * nu_minus over all paths.  Order-independent for g = 0."""
+    nu_plus * nu_minus over all paths.  Order-independent in every genus
+    (Itenberg-Mikhalkin, IMRN 2013)."""
     return _total(P, g, order, _nu_step)
 
 

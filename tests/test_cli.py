@@ -212,15 +212,29 @@ def test_table_projective_degree_five(capsys):
     assert [int(r[5]) for r in rows[1:]] == [65949, 109781, 90027, 36975, 7915, 882, 48, 1]
 
 
+def _recount_off_by_one(monkeypatch, command):
+    """Make the cross-check of a counting command recount one more."""
+    rule, takes_signs, label, recount, help_ = cli._COUNTING[command]
+    monkeypatch.setitem(cli._COUNTING, command, (
+        rule, takes_signs, label, lambda P, g, order: recount(P, g, order) + 1, help_))
+
+
 def test_count_cross_check_failure_exits_1(monkeypatch, capsys):
     # the recount under the resampled order disagrees: the total is printed
     # first, then the failure
-    rule, takes_signs, label, (total_of, genus_0_only, what) = cli._COUNTING["count"]
-    check = (lambda P, g, order: total_of(P, g, order) + 1, genus_0_only, what)
-    monkeypatch.setitem(cli._COUNTING, "count", (rule, takes_signs, label, check))
+    _recount_off_by_one(monkeypatch, "count")
     code, out, err = run(["count", "--polygon", D3, "--genus", "0"], capsys)
     assert (code, out, err) == (
         1, "12\n", "cross-check failed: count changed under a resampled order\n")
+
+
+def test_welschinger_cross_check_failure_exits_1(monkeypatch, capsys):
+    # the Welschinger count does not depend on the points in any genus, so
+    # it is cross-checked at g = 1 too
+    _recount_off_by_one(monkeypatch, "welschinger")
+    code, out, err = run(["welschinger", "--polygon", D3, "--genus", "1"], capsys)
+    assert (code, out, err) == (
+        1, "1\n", "cross-check failed: welschinger count changed under a resampled order\n")
 
 
 def test_table_cross_check_failure_exits_1(monkeypatch, capsys):
@@ -370,6 +384,16 @@ def test_exit_code_3_mathematical_inputs(capsys):
         code, _, err = run(argv, capsys)
         assert code == 3, argv
         assert "error" in err
+
+
+def test_exit_code_0_genus_above_the_top(capsys):
+    # no path has that many steps, so every counting command prints 0; a
+    # broadcast sign token is not repeated past the longest path
+    for command in cli._COUNTING:
+        for g in ("2", "3000000", str(10**19)):
+            code, out, err = run([command, "--polygon", D3, "--genus", g], capsys)
+            assert (code, out, err) == (0, "0\n", ""), (command, g)
+    assert len(cli._parse_signs("--", 10**19, 9)) == 9
 
 
 def test_jobs_determinism(capsys):

@@ -255,11 +255,20 @@ def test_welschinger_genus_zero_lower_bound():
         assert welschinger_count(standard_triangle(d), 0) >= fact[d] // 2
 
 
-def test_welschinger_order_invariance_genus_zero():
-    orders = [DEFAULT, LinearOrder((1, 3), (1, 0)), LinearOrder((2, 1), (0, 1))]
-    for P in (standard_triangle(3), grid_rectangle(2, 2)):
-        values = {welschinger_count(P, 0, o) for o in orders}
-        assert len(values) == 1
+def test_welschinger_order_invariance_every_genus():
+    # the Welschinger-type count does not depend on the points in any genus
+    # (Itenberg-Mikhalkin, IMRN 2013): one value per genus from -1 to the top
+    # under the default and four seeded orders
+    rng = random.Random(26)
+    orders = [DEFAULT] + [random_order(rng) for _ in range(4)]
+    expected = {
+        standard_triangle(4): [486, 295, 93, 15, 1],
+        grid_rectangle(3, 3): [2262, 1515, 600, 140, 18, 1],
+        LatticePolygon([(0, 0), (4, 0), (2, 2), (0, 2)]): [127, 57, 12, 1, 0],
+    }
+    for P, column in expected.items():
+        for g, value in enumerate(column, start=-1):
+            assert {welschinger_count(P, g, o) for o in orders} == {value}, (P.vertices, g)
 
 
 def test_nu_side_bounded_by_mu_side():
