@@ -18,13 +18,9 @@ _EXPORTS = {
         "toric_degree",
     ),
     "paths": (
-        "DecodedCurve",
-        "DualSubdivision",
         "InvalidGenus",
-        "MalformedSubdivision",
         "Side",
         "count",
-        "decode",
         "enumerate_paths",
         "first_convex_vertex",
         "mu",
@@ -43,8 +39,11 @@ _EXPORTS = {
     ),
     "curves": (
         "Chain",
+        "DecodedCurve",
         "DegenerateSupport",
+        "DualSubdivision",
         "IncompatibleGraph",
+        "MalformedSubdivision",
         "MarkedDualGraph",
         "NotSimple",
         "ParallelDirections",
@@ -54,6 +53,7 @@ _EXPORTS = {
         "check_balancing",
         "curve_of",
         "curve_real_multiplicity",
+        "decode",
         "dual_subdivision",
         "genus_of_simple",
         "is_smooth",

@@ -101,11 +101,11 @@ def _parse_order(text: str | None) -> LinearOrder:
 def _parse_signs(text: str, n: int, longest: int) -> list[tuple[int, int]]:
     """One quadrant sign per step: n comma-separated tokens, or one token
     for every step.  No path has more than `longest` steps, so a broadcast
-    stops there."""
+    stops there, and past it any number of tokens will do."""
     tokens = text.split(",")
     if len(tokens) == 1:
         tokens = tokens * min(n, longest)
-    elif len(tokens) != n:
+    elif len(tokens) != n and n <= longest:
         raise InputError(f"need {n} sign tokens, got {len(tokens)}")
     try:
         return [SIGN_TOKENS[t] for t in tokens]

@@ -61,6 +61,16 @@ def _edge_key(a: LatticePoint, b: LatticePoint) -> tuple[LatticePoint, LatticePo
     return (a, b) if a <= b else (b, a)
 
 
+def _chain(seq: Sequence[LatticePoint]) -> list[LatticePoint]:
+    """The left-turning hull chain of points sorted along it, collinear dropped."""
+    out: list[LatticePoint] = []
+    for p in seq:
+        while len(out) >= 2 and cross(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
+            out.pop()
+        out.append(p)
+    return out
+
+
 def convex_hull(points: Iterable[LatticePoint]) -> list[LatticePoint]:
     """Convex hull in counterclockwise order, collinear points dropped.
 
@@ -70,18 +80,7 @@ def convex_hull(points: Iterable[LatticePoint]) -> list[LatticePoint]:
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
-
-    def half(seq: Sequence[LatticePoint]) -> list[LatticePoint]:
-        out: list[LatticePoint] = []
-        for p in seq:
-            while len(out) >= 2 and cross(sub(out[-1], out[-2]), sub(p, out[-2])) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return lower[:-1] + upper[:-1]
+    return _chain(pts)[:-1] + _chain(pts[::-1])[:-1]
 
 
 class _Record:

@@ -14,8 +14,9 @@ the same dict.  The parallelogram move always weighs 1.  A rule
 takes the two corner steps and their sign classes and gives the weighted
 classes of the merged step; the rule here, `_mu_step`, weighs a triangle by
 its doubled area and ignores the classes; `real` adds the signed and
-Welschinger rules.  `decode` walks the same moves and gathers the
-cells, giving the polygon subdivisions dual to the curves a path encodes.
+Welschinger rules.  `_leaves` walks the same moves and gathers the cells,
+which `curves.decode` turns into the subdivisions dual to the curves a path
+encodes.
 
 No move cuts or mirrors a corner that lies on alpha, the side's boundary
 chain.  P is convex and lies on one side of alpha, so at a path point b on
@@ -61,7 +62,6 @@ from .lattice import (
     LatticePoint,
     LatticePolygon,
     LinearOrder,
-    _Record,
     add,
     boundary_chains,
     cross,
@@ -74,10 +74,6 @@ LatticePath = tuple[LatticePoint, ...]
 
 class InvalidGenus(ValueError):
     """Requested genus gives fewer than one path step."""
-
-
-class MalformedSubdivision(ValueError):
-    """Cells fail to tile the ambient polygon edge-to-edge."""
 
 
 class Side(enum.Enum):
@@ -108,108 +104,6 @@ def first_convex_vertex(path: Sequence[LatticePoint], side: Side) -> int | None:
         if turn * want > 0:
             return k
     return None
-
-
-def _ambient_side(
-    P: LatticePolygon, a: LatticePoint, b: LatticePoint
-) -> tuple[LatticePoint, LatticePoint] | None:
-    """The side (s0, s1) of P that contains the segment a-b between two
-    lattice points, or None: the first side both ends lie on."""
-    shared = (P.side_bits(a) or 0) & (P.side_bits(b) or 0)
-    if not shared:
-        return None
-    return P._sides[(shared & -shared).bit_length() - 1]
-
-
-class DualSubdivision(_Record):
-    """A set of convex lattice cells tiling an ambient polygon."""
-
-    ambient: LatticePolygon
-    cells: tuple[LatticePolygon, ...]
-
-    def __init__(self, ambient: LatticePolygon, cells: tuple[LatticePolygon, ...]):
-        self.__dict__.update(ambient=ambient, cells=cells)
-
-    def triangles(self) -> list[LatticePolygon]:
-        return [c for c in self.cells if len(c.vertices) == 3]
-
-    def is_simple(self) -> bool:
-        """True when every cell is a triangle or a parallelogram."""
-        return all(len(c.vertices) == 3 or c._across is not None for c in self.cells)
-
-    def edge_map(self) -> dict[tuple[LatticePoint, LatticePoint], list[int]]:
-        """Map from undirected cell edge to the indices of its incident cells."""
-        edges: dict[tuple[LatticePoint, LatticePoint], list[int]] = {}
-        get = edges.get
-        for i, c in enumerate(self.cells):
-            for e in c._edge_keys:
-                incident = get(e)
-                if incident is None:
-                    edges[e] = [i]
-                else:
-                    incident.append(i)
-        return edges
-
-    def interior_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
-        return sorted(e for e, cs in self.edge_map().items() if len(cs) == 2)
-
-    def boundary_edges(self) -> list[tuple[LatticePoint, LatticePoint]]:
-        return sorted(e for e, cs in self.edge_map().items() if len(cs) == 1)
-
-    def validate_tiling(self) -> dict[tuple[LatticePoint, LatticePoint], list[int]]:
-        """Raise MalformedSubdivision unless the cells tile the ambient polygon
-        edge-to-edge (area match, every edge shared by two cells or lying on
-        the ambient boundary); return the edge map it checked.
-
-        The cells' areas and edges are computed once per cell.  The sides
-        each cell vertex lies on are read from the ambient's `side_bits`
-        cache, which the subdivisions of one ambient share: an edge is on
-        the boundary when both ends lie on one side, and the cells are inside
-        when none of their vertices is outside.  Every vertex is the end of
-        an edge, so the edge loop reads them all."""
-        cells, ambient = self.cells, self.ambient
-        if sum(c.double_area() for c in cells) != ambient.double_area():
-            raise MalformedSubdivision("cell areas do not add up to the ambient area")
-        edges = self.edge_map()
-        bits, side_bits = ambient._side_bits_seen, ambient.side_bits
-        outside = False
-        for (a, b), cs in edges.items():
-            ba = bits[a] if a in bits else side_bits(a)
-            bb = bits[b] if b in bits else side_bits(b)
-            if len(cs) > 2:
-                raise MalformedSubdivision(f"edge {a}-{b} belongs to {len(cs)} cells")
-            if ba is None or bb is None:
-                outside = True
-            on_boundary = (ba or 0) & (bb or 0)
-            if len(cs) == 1 and not on_boundary:
-                raise MalformedSubdivision(f"interior edge {a}-{b} has only one cell")
-            if len(cs) == 2 and on_boundary:
-                raise MalformedSubdivision(f"boundary edge {a}-{b} has two cells")
-        if outside:
-            raise MalformedSubdivision("cell sticks out of the ambient polygon")
-        return edges
-
-    def to_json_dict(self) -> dict:
-        return {"cells": [{"vertices": [list(v) for v in c.vertices]} for c in self.cells]}
-
-
-class DecodedCurve(_Record):
-    """One curve encoded by a path: its dual subdivision, the subdivision
-    edges dual to the path steps (in step order), and its weight."""
-
-    subdivision: DualSubdivision
-    path: LatticePath
-    marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...]
-    multiplicity: int
-
-    def __init__(self, subdivision: DualSubdivision, path: LatticePath,
-                 marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...], multiplicity: int):
-        self.__dict__.update(subdivision=subdivision, path=path, marked_edges=marked_edges,
-                             multiplicity=multiplicity)
-
-    def genus(self) -> int:
-        s, _ = self.subdivision.ambient.counts()
-        return len(self.path) - 1 - s + 1
 
 
 class _Corners:
@@ -575,25 +469,6 @@ def count(P: LatticePolygon, g: int, order: LinearOrder | None = None) -> int:
     configuration, counted with multiplicity: the sum of mu over all paths
     with s + g - 1 steps.  The result does not depend on the order."""
     return _total(P, g, order, _mu_step)
-
-
-def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> tuple[DecodedCurve, ...]:
-    """The curves a path encodes, one per leaf of the two-sided recursion.
-
-    Each decoded curve tiles P with the triangles and parallelograms carved
-    off by the recursion; its multiplicity is the product of the doubled
-    triangle areas, and the decoded multiplicities add up to mu(path).
-    """
-    ctx = _context(P, order)
-    m = _check_path(ctx, path)
-    pts = tuple(map(tuple, path))
-    marked = tuple((pts[j], pts[j + 1]) for j in range(len(pts) - 1))
-    out = []
-    for m_plus, cells_plus in _leaves(ctx, m, Side.PLUS):
-        for m_minus, cells_minus in _leaves(ctx, m, Side.MINUS):
-            sub_ = DualSubdivision(ambient=P, cells=cells_plus + cells_minus)
-            out.append(DecodedCurve(sub_, pts, marked, m_plus * m_minus))
-    return tuple(out)
 
 
 def path_to_json(path: LatticePath) -> str:

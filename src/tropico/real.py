@@ -266,10 +266,11 @@ def real_signed_count(
     """Number of real curves of genus g through points with the given
     quadrant signs, among the count(P, g) complex ones: the sum of signed
     path multiplicities.  One sign per marked point; the result depends on
-    the signs and on the order."""
+    the signs and on the order.  Above the top genus no path has that many
+    steps, and the count is 0 whatever the number of signs."""
     n = _steps_for_genus(P, g)
     signs = list(signs)
-    if len(signs) != n:
+    if len(signs) != n and n < len(P.lattice_points()):
         raise ValueError(f"need {n} signs, got {len(signs)}")
     return _total(P, g, order, _mu_real_step, _step_classes(signs))
 

@@ -1,11 +1,13 @@
 """Shared helpers: random concave coefficient draws, a floating grid
 oracle that samples the plane and checks every near-tie of the max against
-the reported curve, and the irreducible split of plane curve counts."""
+the reported curve, the irreducible split of plane curve counts, and the
+Severi degrees of the plane by the Caporaso-Harris recursion."""
 
+import itertools
 import math
 from fractions import Fraction
 from functools import cache
-from math import comb, lcm
+from math import comb, lcm, prod
 
 import numpy as np
 
@@ -114,3 +116,70 @@ def irreducible_split(total):
             for g1 in range((k - 1) * (k - 2) // 2 + 1)
         )
     return irreducible
+
+
+def _contacts(budget, k, top):
+    """Every tuple (b_k, ..., b_top) of counts >= 0 with sum j * b_j equal
+    to `budget`: the contact orders of tangencies that use it up."""
+    if k > top:
+        if budget == 0:
+            yield ()
+        return
+    for b in range(budget // k + 1):
+        for rest in _contacts(budget - b * k, k + 1, top):
+            yield (b,) + rest
+
+
+@cache
+def _caporaso_harris(d, delta, alpha, beta):
+    """N^{d,delta}(alpha, beta) of Caporaso and Harris: the number of plane
+    curves of degree d with delta nodes, reducible ones included, with
+    alpha[k-1] contacts of order k with a fixed line L at fixed points of L
+    and beta[k-1] at free ones, through 2d + g - 1 + |beta| general points,
+    g = (d-1)(d-2)/2 - delta.  Both tuples have length d and I alpha +
+    I beta = d, where I a = sum k a_k and |a| = sum a_k.
+
+    Moving one of the points onto L fixes a free contact of order k, in k
+    ways, or splits off L, leaving a curve of degree d - 1 that meets L at
+    alpha' <= alpha of the fixed points and at beta' >= beta free ones:
+
+        N^{d,delta}(alpha, beta) = sum over beta_k > 0 of
+                                   k N^{d,delta}(alpha + e_k, beta - e_k)
+            + sum of I^(beta' - beta) C(alpha, alpha') C(beta', beta)
+                     N^{d-1,delta'}(alpha', beta')
+
+    over I alpha' + I beta' = d - 1 and delta' = delta - (d - 1) +
+    |beta' - beta|, with I^a = prod k^a_k and C(a, b) = prod C(a_k, b_k).
+    The empty curve, N^{0,0}, is 1.  beta' - beta runs over the contacts
+    that use up what alpha' and beta leave of d - 1.
+    """
+    if delta < 0:
+        return 0
+    if d == 0:
+        return int(delta == 0)
+    total = 0
+    for k, b in enumerate(beta, 1):
+        if b:
+            moved = tuple(a + (j == k) for j, a in enumerate(alpha, 1))
+            total += k * _caporaso_harris(d, delta, moved, beta[:k - 1] + (b - 1,) + beta[k:])
+    left = d - 1 - sum(k * b for k, b in enumerate(beta, 1))
+    for kept in itertools.product(*(range(a + 1) for a in alpha)):
+        budget = left - sum(k * a for k, a in enumerate(kept, 1))
+        if budget < 0:
+            continue
+        ways = prod(comb(a, b) for a, b in zip(alpha, kept))
+        for extra in _contacts(budget, 1, d - 1):
+            grown = tuple(b + e for b, e in zip(beta, extra))
+            weight = ways * prod(k ** e * comb(b, e) for k, (b, e) in enumerate(zip(grown, extra), 1))
+            total += weight * _caporaso_harris(
+                d - 1, delta - (d - 1) + sum(extra), kept[:d - 1], grown)
+    return total
+
+
+def severi(d, delta):
+    """N^{d,delta}: the number of plane curves of degree d with delta nodes,
+    reducible ones included, through 3d + g - 1 general points, g =
+    (d-1)(d-2)/2 - delta, by the recursion of Caporaso and Harris
+    ("Counting plane curves of any genus", Invent. Math. 1998): the curves
+    meet a line in d free points, N^{d,delta}(0, d e_1)."""
+    return _caporaso_harris(d, delta, (0,) * d, (d,) + (0,) * (d - 1))

@@ -22,7 +22,6 @@ from tropico.lattice import (
 from tropico.paths import (
     Side,
     count,
-    decode,
     enumerate_paths,
     first_convex_vertex,
     mu,
@@ -41,6 +40,7 @@ from tropico.curves import (
     check_balancing,
     curve_of,
     curve_real_multiplicity,
+    decode,
     dual_subdivision,
     marked_dual_graph,
 )

@@ -394,6 +394,10 @@ def test_exit_code_0_genus_above_the_top(capsys):
             code, out, err = run([command, "--polygon", D3, "--genus", g], capsys)
             assert (code, out, err) == (0, "0\n", ""), (command, g)
     assert len(cli._parse_signs("--", 10**19, 9)) == 9
+    # a list of tokens of any length, each still a sign token
+    assert len(cli._parse_signs("++,--", 10**19, 9)) == 2
+    with pytest.raises(cli.InputError, match="bad sign token"):
+        cli._parse_signs("++,xx", 10**19, 9)
 
 
 def test_jobs_determinism(capsys):

@@ -20,9 +20,12 @@ from tropico.lattice import (
     sub,
     toric_degree,
 )
-from tropico.paths import DualSubdivision, DecodedCurve, MalformedSubdivision, decode, enumerate_paths, mu
+from tropico.paths import enumerate_paths, mu
 from tropico.curves import (
+    DecodedCurve,
     DegenerateSupport,
+    DualSubdivision,
+    MalformedSubdivision,
     NotSimple,
     ParallelDirections,
     PlaneTropicalCurve,
@@ -32,6 +35,7 @@ from tropico.curves import (
     canonicalize,
     check_balancing,
     curve_of,
+    decode,
     dual_subdivision,
     genus_of_simple,
     is_smooth,

@@ -9,9 +9,9 @@ import pytest
 
 import tropico
 from tropico.lattice import LatticePolygon, LinearOrder, ToricDegree, standard_triangle, toric_degree
-from tropico.paths import DecodedCurve, DualSubdivision, decode, enumerate_paths, mu
+from tropico.paths import enumerate_paths, mu
 from tropico.real import SignedPath, sign_class_of
-from tropico.curves import Chain, MarkedDualGraph, marked_dual_graph
+from tropico.curves import Chain, DecodedCurve, DualSubdivision, MarkedDualGraph, decode, marked_dual_graph
 
 D3 = '{"vertices": [[0,0],[3,0],[0,3]]}'
 

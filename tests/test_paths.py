@@ -8,7 +8,7 @@ import weakref
 from math import comb, gcd
 
 import pytest
-from conftest import irreducible_split, random_order
+from conftest import irreducible_split, random_order, severi
 
 from tropico import paths
 from tropico.lattice import (
@@ -20,12 +20,9 @@ from tropico.lattice import (
     sub,
 )
 from tropico.paths import (
-    DualSubdivision,
     InvalidGenus,
-    MalformedSubdivision,
     Side,
     count,
-    decode,
     enumerate_paths,
     first_convex_vertex,
     mu,
@@ -45,6 +42,7 @@ from tropico.real import (
     sign_class_of,
     welschinger_count,
 )
+from tropico.curves import DualSubdivision, MalformedSubdivision, decode
 
 DEFAULT = LinearOrder.default()
 CUSP = LatticePolygon([(0, 0), (1, 0), (0, 1), (2, 2)])
@@ -193,6 +191,19 @@ def test_irreducible_split_of_the_plane():
     assert [n_irr(d, 1) for d in range(3, 7)] == [1, 225, 87192, 57435240]
     w_irr = irreducible_split(welschinger_count)
     assert [w_irr(d, 0) for d in range(1, 7)] == [1, 1, 8, 240, 18264, 2845440]
+
+
+def test_plane_counts_are_severi_degrees():
+    """The count on tri d in genus g is the Severi degree N^{d,delta} of
+    plane curves with delta = (d-1)(d-2)/2 - g nodes, reducible ones
+    included, which `conftest.severi` computes by the recursion of Caporaso
+    and Harris: at degrees 1 to 6 in every genus from -1 to the top, and in
+    the top genera of degrees 7 and 8."""
+    cells = [(d, g) for d in range(1, 7) for g in range(-1, (d - 1) * (d - 2) // 2 + 1)]
+    cells += [(7, g) for g in range(10, 16)] + [(8, g) for g in range(17, 22)]
+    for d, g in cells:
+        top = (d - 1) * (d - 2) // 2
+        assert count(standard_triangle(d), g) == severi(d, top - g), (d, g)
 
 
 def test_blow_up_identity():

@@ -23,7 +23,7 @@ from tropico.lattice import (
     standard_triangle,
     sub,
 )
-from tropico.paths import Side, count, decode, enumerate_paths, mu, mu_side
+from tropico.paths import Side, count, enumerate_paths, mu, mu_side
 from tropico.real import (
     SignedPath,
     ZeroStep,
@@ -42,6 +42,7 @@ from tropico.curves import (
     IncompatibleGraph,
     MarkedDualGraph,
     curve_real_multiplicity,
+    decode,
     marked_dual_graph,
 )
 
@@ -195,6 +196,19 @@ def test_real_count_equals_ungated_path_sum(P, g):
 def test_real_count_validates_sign_count():
     with pytest.raises(ValueError):
         real_signed_count(standard_triangle(2), 0, None, [(0, 0)] * 4)
+
+
+def test_real_count_above_the_top_genus_is_0():
+    # tri3 has 10 lattice points, so no path has more than 9 steps: above
+    # genus 1 the count is 0 whatever the number of signs, each still a
+    # quadrant sign; at the top the exact number is still required
+    T = standard_triangle(3)
+    assert real_signed_count(T, 5, None, [(0, 0)] * 9) == 0
+    assert real_signed_count(T, 10**19, None, []) == 0
+    with pytest.raises(ValueError, match=re.escape("quadrant sign (2, 0)")):
+        real_signed_count(T, 5, None, [(2, 0)])
+    with pytest.raises(ValueError, match="need 9 signs, got 8"):
+        real_signed_count(T, 1, None, [(0, 0)] * 8)
 
 
 def test_quadrant_signs_are_checked_at_the_public_boundary():
