@@ -90,9 +90,6 @@ class DualSubdivision(_Record):
     ambient: LatticePolygon
     cells: tuple[LatticePolygon, ...]
 
-    def __init__(self, ambient: LatticePolygon, cells: tuple[LatticePolygon, ...]):
-        self.__dict__.update(ambient=ambient, cells=cells)
-
     def triangles(self) -> list[LatticePolygon]:
         return [c for c in self.cells if len(c.vertices) == 3]
 
@@ -165,11 +162,6 @@ class DecodedCurve(_Record):
     marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...]
     multiplicity: int
 
-    def __init__(self, subdivision: DualSubdivision, path: LatticePath,
-                 marked_edges: tuple[tuple[LatticePoint, LatticePoint], ...], multiplicity: int):
-        self.__dict__.update(subdivision=subdivision, path=path, marked_edges=marked_edges,
-                             multiplicity=multiplicity)
-
     def genus(self) -> int:
         s, _ = self.subdivision.ambient.counts()
         return len(self.path) - 1 - s + 1
@@ -189,8 +181,9 @@ def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) 
     out = []
     for m_plus, cells_plus in _leaves(ctx, m, Side.PLUS):
         for m_minus, cells_minus in _leaves(ctx, m, Side.MINUS):
-            sub_ = DualSubdivision(ambient=P, cells=cells_plus + cells_minus)
-            out.append(DecodedCurve(sub_, pts, marked, m_plus * m_minus))
+            sub_ = DualSubdivision._bind(ambient=P, cells=cells_plus + cells_minus)
+            out.append(DecodedCurve._bind(subdivision=sub_, path=pts, marked_edges=marked,
+                                          multiplicity=m_plus * m_minus))
     return tuple(out)
 
 
@@ -228,15 +221,7 @@ class TropicalPolynomial(_Record):
             items[key] = _as_fraction(a)
         if not items:
             raise ValueError("empty support")
-        self.__dict__["terms"] = MappingProxyType(dict(sorted(items.items())))
-
-    @classmethod
-    def _from_sorted(cls, terms: dict[LatticePoint, Fraction]) -> "TropicalPolynomial":
-        """The polynomial on terms that are already checked: integer pairs in
-        ascending order, each with a Fraction."""
-        self = object.__new__(cls)
-        self.__dict__["terms"] = MappingProxyType(terms)
-        return self
+        super().__init__(MappingProxyType(dict(sorted(items.items()))))
 
     def __reduce__(self):
         return (self.__class__, (dict(self.terms),))
@@ -300,10 +285,11 @@ class TropicalPolynomial(_Record):
 
     @cached_property
     def _newton(self) -> LatticePolygon:
-        """The Newton polygon, bound from `_hull`, which must span an area.
-        The wrap reads its side bits and the subdivision keeps it as its
-        ambient, so the tiling check finds them computed."""
-        return LatticePolygon._from_ring(self._hull)
+        """The Newton polygon, bound unchecked from `_hull`, a counterclockwise
+        ring from its least point with no repeated or collinear points, which
+        must span an area.  The wrap reads its side bits and the subdivision
+        keeps it as its ambient, so the tiling check finds them computed."""
+        return LatticePolygon._bind(vertices=tuple(self._hull))
 
     @cached_property
     def _heights(self) -> tuple[dict[LatticePoint, int], int]:
@@ -320,8 +306,8 @@ class TropicalPolynomial(_Record):
         order, and the edge map its tiling check returned."""
         if len(self._hull) < 3:
             raise DegenerateSupport("support spans no area")
-        cells = tuple(LatticePolygon._from_ring(face.ring) for face in self._faces)
-        out = DualSubdivision(ambient=self._newton, cells=cells)
+        cells = tuple(LatticePolygon._bind(vertices=face.ring) for face in self._faces)
+        out = DualSubdivision._bind(ambient=self._newton, cells=cells)
         return out, out.validate_tiling()
 
 
@@ -341,10 +327,6 @@ class _Face(_Record):
     points: tuple[LatticePoint, ...]
     plane: tuple[int, int, int, int]
     ring: tuple[LatticePoint, ...]
-
-    def __init__(self, points: tuple[LatticePoint, ...], plane: tuple[int, int, int, int],
-                 ring: tuple[LatticePoint, ...]):
-        self.__dict__.update(points=points, plane=plane, ring=ring)
 
 
 def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Face]:
@@ -441,7 +423,7 @@ def _upper_faces(f: TropicalPolynomial, newton: list[LatticePoint]) -> list[_Fac
             ring = (p, q, r) if turn > 0 else (p, r, q)
         else:
             ring = tuple(convex_hull(contact))
-        faces[contact] = _Face(contact, plane, ring)
+        faces[contact] = _Face._bind(points=contact, plane=plane, ring=ring)
         for a, b in zip(ring, ring[1:] + ring[:1]):
             if bits[a] & bits[b]:
                 # on a side of the Newton polygon: no support point across
@@ -485,7 +467,7 @@ def canonicalize(f: TropicalPolynomial) -> TropicalPolynomial:
                     if low is None or v * den < low * nz:
                         low, den = v, nz
                 new[j] = Fraction(low, den * scale)
-        return TropicalPolynomial._from_sorted(new)
+        return TropicalPolynomial._bind(terms=MappingProxyType(new))
     # collinear support: parameterize the line and take the 1-dimensional
     # upper hull of (parameter, height)
     pts = f.support()
@@ -517,11 +499,6 @@ class PlaneTropicalCurve(_Record):
     vertices: tuple[RationalPoint, ...]
     bounded_edges: tuple[tuple[int, int, int, LatticePoint], ...]
     rays: tuple[tuple[int, LatticePoint, int], ...]
-
-    def __init__(self, vertices: tuple[RationalPoint, ...],
-                 bounded_edges: tuple[tuple[int, int, int, LatticePoint], ...],
-                 rays: tuple[tuple[int, LatticePoint, int], ...]):
-        self.__dict__.update(vertices=vertices, bounded_edges=bounded_edges, rays=rays)
 
     def to_json_dict(self) -> dict:
         return {
@@ -571,7 +548,7 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
             # the tiling check put this edge on a side; the ray is its outward normal
             s0, s1 = _ambient_side(sub_.ambient, a, b)
             rays.append((i, primitive((s1[1] - s0[1], s0[0] - s1[0])), w))
-    return PlaneTropicalCurve(
+    return PlaneTropicalCurve._bind(
         vertices=tuple(vertices),
         bounded_edges=tuple(bounded),
         rays=tuple(rays),
@@ -642,10 +619,6 @@ class Chain(_Record):
     weight: int
     direction: LatticePoint
 
-    def __init__(self, edges: tuple[EdgeKey, ...], terminals: tuple[Terminal, Terminal],
-                 weight: int, direction: LatticePoint):
-        self.__dict__.update(edges=edges, terminals=terminals, weight=weight, direction=direction)
-
 
 class MarkedDualGraph(_Record):
     """Combinatorial dual of a decoded subdivision: a trivalent node per
@@ -653,30 +626,18 @@ class MarkedDualGraph(_Record):
     per boundary edge, and the path steps as marked edges.
 
     Inside, each chain is a row (edges, left, right) with int terminals.
-    `marked_dual_graph` keeps the rows and builds the `Chain` records on
-    first read of `chains`; a graph built through its constructor keeps the
-    chains it is given and derives the rows on first use.  The other form
-    is kept in the instance `__dict__` by `cached_property`, as a polygon's
-    derived data is, so equality, hash and repr do not change.
+    `marked_dual_graph` binds the rows in place of the chains (`_bind`), and
+    the `Chain` records are built on first read of `chains`; a graph built
+    through its constructor keeps its chains and derives the rows on first
+    use.  The other form is kept in the instance `__dict__` by
+    `cached_property`, as a polygon's derived data is, so equality, hash and
+    repr do not change.
     """
 
     triangles: tuple[LatticePolygon, ...]
     crossings: tuple[LatticePolygon, ...]
     chains: tuple[Chain, ...]
     marked: tuple[EdgeKey, ...]
-
-    def __init__(self, triangles: tuple[LatticePolygon, ...], crossings: tuple[LatticePolygon, ...],
-                 chains: tuple[Chain, ...], marked: tuple[EdgeKey, ...]):
-        self.__dict__.update(triangles=triangles, crossings=crossings, chains=chains, marked=marked)
-
-    @classmethod
-    def _from_rows(cls, triangles: tuple[LatticePolygon, ...],
-                   crossings: tuple[LatticePolygon, ...], rows: tuple[Row, ...],
-                   marked: tuple[EdgeKey, ...]) -> "MarkedDualGraph":
-        """The graph on chain rows that `marked_dual_graph` walked."""
-        self = object.__new__(cls)
-        self.__dict__.update(triangles=triangles, crossings=crossings, _rows=rows, marked=marked)
-        return self
 
     @cached_property
     def chains(self) -> tuple[Chain, ...]:
@@ -685,7 +646,8 @@ class MarkedDualGraph(_Record):
             (ax, ay), (bx, by) = edges[0]
             vx, vy = bx - ax, by - ay
             w = gcd(vx, vy)
-            chains.append(Chain(edges, (_terminal(left), _terminal(right)), w, (-vy // w, vx // w)))
+            chains.append(Chain._bind(edges=edges, terminals=(_terminal(left), _terminal(right)),
+                                      weight=w, direction=(-vy // w, vx // w)))
         return tuple(chains)
 
     @cached_property
@@ -907,6 +869,5 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
         if key not in emap:
             raise MalformedSubdivision(f"marked step {a}-{b} is not a subdivision edge")
         marked.append(key)
-    return MarkedDualGraph._from_rows(
-        tuple(triangles), tuple(crossings), tuple(rows), tuple(marked)
-    )
+    return MarkedDualGraph._bind(triangles=tuple(triangles), crossings=tuple(crossings),
+                                 _rows=tuple(rows), marked=tuple(marked))

@@ -88,9 +88,10 @@ class _Record:
 
     Two records are equal when they are of the same class and their fields
     are; a record hashes as the tuple of its fields and prints as
-    `Name(field=value, ...)`, as a frozen dataclass does.  Each class binds
-    its fields in its own `__init__`, through `__dict__`; assigning or
-    deleting an attribute afterwards raises AttributeError.
+    `Name(field=value, ...)`, as a frozen dataclass does.  Only `__init__`,
+    by position or keyword, and the unchecked `_bind` bind fields; a class
+    that checks its arguments binds them through `_Record.__init__`.
+    Assigning or deleting an attribute afterwards raises AttributeError.
     """
 
     def __init_subclass__(cls):
@@ -99,6 +100,26 @@ class _Record:
         get = operator.attrgetter(*cls._fields)
         # attrgetter gives the bare value for one name, a tuple for several
         cls._values = staticmethod(get if len(cls._fields) > 1 else lambda record: (get(record),))
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            rest = fields[len(values):]
+            if len(values) + len(named) != len(fields) or named.keys() != set(rest):
+                wrong = [f"too many positional values ({len(values)})"] if len(values) > len(fields) else []
+                wrong += [f"{name!r} given twice" for name in named if name in fields[:len(values)]]
+                wrong += [f"unknown field {name!r}" for name in named if name not in fields]
+                wrong += [f"missing field {name!r}" for name in rest if name not in named]
+                raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(fields)}: "
+                                + ", ".join(wrong))
+            values += tuple(map(named.__getitem__, rest))
+        self.__dict__.update(zip(fields, values))
+
+    @classmethod
+    def _bind(cls, **fields):
+        self = object.__new__(cls)
+        self.__dict__.update(fields)
+        return self
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -141,16 +162,7 @@ class LatticePolygon(_Record):
         if len(hull) != len(verts):
             extra = sorted(set(verts) - set(hull))
             raise ValueError(f"not vertices of a convex polygon: {extra}")
-        self.__dict__["vertices"] = tuple(hull)
-
-    @classmethod
-    def _from_ring(cls, ring: Sequence[LatticePoint]) -> "LatticePolygon":
-        """The polygon on a ring that `convex_hull` returned, of three points
-        or more: it already starts at its least point, runs counterclockwise
-        and has no repeated or collinear points, so nothing is checked."""
-        self = object.__new__(cls)
-        self.__dict__["vertices"] = tuple(ring)
-        return self
+        super().__init__(tuple(hull))
 
     # -- basic measures ----------------------------------------------------
     #
@@ -296,7 +308,7 @@ class LinearOrder(_Record):
         t = tuple(map(_coordinate, tiebreak))
         if len(p) != 2 or len(t) != 2:
             raise ValueError("order vectors must be 2-dimensional")
-        self.__dict__.update(primary=p, tiebreak=t)
+        super().__init__(p, t)
 
     def key(self, pt: LatticePoint) -> tuple[int, int]:
         return (
@@ -362,9 +374,6 @@ class ToricDegree(_Record):
 
     entries: tuple[tuple[LatticePoint, int], ...]
 
-    def __init__(self, entries: tuple[tuple[LatticePoint, int], ...]):
-        self.__dict__["entries"] = entries
-
     def total(self) -> LatticePoint:
         x = sum(d[0] * w for d, w in self.entries)
         y = sum(d[1] * w for d, w in self.entries)
@@ -377,4 +386,4 @@ def toric_degree(P: LatticePolygon) -> ToricDegree:
         v = sub(b, a)
         n = primitive((v[1], -v[0]))  # right normal of a ccw edge points outward
         entries.append((n, lattice_length(v)))
-    return ToricDegree(tuple(entries))
+    return ToricDegree._bind(entries=tuple(entries))

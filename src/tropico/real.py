@@ -171,12 +171,12 @@ class SignedPath(_Record):
     def __init__(self, path: Sequence[LatticePoint], signs: Sequence[SignClass]):
         pts = tuple(tuple(p) for p in path)
         signs = tuple(frozenset(s) for s in signs)
-        self.__dict__.update(path=pts, signs=signs)
         if len(signs) != len(pts) - 1:
             raise ValueError("need exactly one sign class per path step")
         for j, cls in enumerate(signs):
             if _fitting_nibble(sub(pts[j + 1], pts[j]), cls) is None:
                 raise ValueError(f"sign class {set(cls)} does not fit step {j}")
+        super().__init__(pts, signs)
 
     @classmethod
     def from_choices(

@@ -1,7 +1,8 @@
 """Shared helpers: random concave coefficient draws, a floating grid
 oracle that samples the plane and checks every near-tie of the max against
-the reported curve, the irreducible split of plane curve counts, and the
-Severi degrees of the plane by the Caporaso-Harris recursion."""
+the reported curve, the irreducible splits of curve counts on the plane and
+on the quadric, and the Severi degrees of the plane by the Caporaso-Harris
+recursion."""
 
 import itertools
 import math
@@ -12,7 +13,7 @@ from math import comb, lcm, prod
 import numpy as np
 
 from tropico.curves import TropicalPolynomial
-from tropico.lattice import LinearOrder, standard_triangle
+from tropico.lattice import LinearOrder, grid_rectangle, standard_triangle
 from tropico.paths import InvalidGenus
 
 
@@ -114,6 +115,48 @@ def irreducible_split(total):
             comb(n - 1, 3 * k + g1 - 2) * irreducible(k, g1) * whole(d - k, g - g1 + 1)
             for k in range(1, d)
             for g1 in range((k - 1) * (k - 2) // 2 + 1)
+        )
+    return irreducible
+
+
+@cache
+def quadric_irreducible_split(total):
+    """N_irr(a, b, g): the irreducible part of a count of curves of bidegree
+    (a, b) and genus g on the quadric P1 x P1, `total(grid_rectangle(a, b),
+    g)`, split as `irreducible_split` splits the plane's.
+
+    A curve through n = 2a + 2b + g - 1 generic points has a component
+    through the first point, of bidegree (a1, b1) and genus g1 through
+    n1 = 2a1 + 2b1 + g1 - 1 of the points:
+
+        N(a, b, g) = sum over 0 <= a1 <= a, 0 <= b1 <= b, (a1, b1) other
+                     than (0, 0), and g1 = 0..(a1-1)(b1-1) of
+                     C(n - 1, n1 - 1) * N_irr(a1, b1, g1) * N(a - a1, b - b1, g - g1 + 1).
+
+    A bidegree (a, 0) or (0, b) is a union of fibres, each a line through
+    one point: N counts it 1 in genus 1 - a - b and 0 otherwise, and its
+    only component genus is g1 = 0.  Of the (a, b) terms only g1 = g is
+    nonzero, and it is N_irr(a, b, g) itself.
+    """
+    @cache
+    def whole(a, b, g):
+        if a == 0 or b == 0:
+            return int(g == 1 - a - b)
+        try:
+            return total(grid_rectangle(a, b), g)
+        except InvalidGenus:
+            return 0
+
+    @cache
+    def irreducible(a, b, g):
+        n = 2 * a + 2 * b + g - 1
+        return whole(a, b, g) - sum(
+            comb(n - 1, 2 * a1 + 2 * b1 + g1 - 2) * irreducible(a1, b1, g1)
+            * whole(a - a1, b - b1, g - g1 + 1)
+            for a1 in range(a + 1)
+            for b1 in range(b + 1)
+            if 0 < a1 + b1 < a + b
+            for g1 in range(max(a1 - 1, 0) * max(b1 - 1, 0) + 1)
         )
     return irreducible
 

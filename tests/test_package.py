@@ -11,7 +11,18 @@ import tropico
 from tropico.lattice import LatticePolygon, LinearOrder, ToricDegree, standard_triangle, toric_degree
 from tropico.paths import enumerate_paths, mu
 from tropico.real import SignedPath, sign_class_of
-from tropico.curves import Chain, DecodedCurve, DualSubdivision, MarkedDualGraph, decode, marked_dual_graph
+from tropico.curves import (
+    Chain,
+    DecodedCurve,
+    DualSubdivision,
+    MarkedDualGraph,
+    PlaneTropicalCurve,
+    TropicalPolynomial,
+    _Face,
+    curve_of,
+    decode,
+    marked_dual_graph,
+)
 
 D3 = '{"vertices": [[0,0],[3,0],[0,3]]}'
 
@@ -139,6 +150,43 @@ def test_records_are_immutable_values():
     assert LinearOrder((1, 0), (0, -1)) != DualSubdivision((1, 0), (0, -1))
     assert Chain((), (), 1, (0, 1)) != MarkedDualGraph((), (), 1, (0, 1))
     assert len({standard_triangle(2), records[0][0], standard_triangle(3)}) == 2
+
+
+def test_records_bind_their_fields_in_one_place():
+    """A record takes its fields by position, by keyword or both; a wrong
+    call raises TypeError naming the field, and the unchecked `_bind` gives
+    the value the constructor gives.  Only the classes that check their
+    arguments have an `__init__` of their own."""
+    for x, name, fields, values in _records():
+        cls = type(x)
+        named = dict(zip(fields, values))
+        mixed = cls(*values[:1], **dict(zip(fields[1:], values[1:])))
+        assert cls(*values) == cls(**named) == mixed == x
+        assert cls._bind(**named) == x
+        with pytest.raises(TypeError, match=fields[-1]):
+            cls(*values[:-1])
+        with pytest.raises(TypeError):
+            cls(*values, values[0])
+        with pytest.raises(TypeError, match=fields[0]):
+            cls(*values, **{fields[0]: values[0]})
+        with pytest.raises(TypeError, match="bogus"):
+            cls(*values, bogus=1)
+    with pytest.raises(TypeError, match=r"Chain takes the fields edges, terminals, weight, "
+                                        r"direction: too many positional values \(5\)"):
+        Chain((), (), 1, (0, 1), None)
+    with pytest.raises(TypeError, match="'edges' given twice, missing field 'direction'"):
+        Chain((), edges=(), terminals=(), weight=1)
+    T = standard_triangle(2)
+    assert LatticePolygon._bind(vertices=T.vertices) == T
+    f = TropicalPolynomial({(0, 0): 0, (1, 0): 0, (0, 1): 0})
+    assert TropicalPolynomial._bind(terms=f.terms) == f
+    C = curve_of(f)
+    assert PlaneTropicalCurve(C.vertices, C.bounded_edges, C.rays) == C
+    face = f._faces[0]
+    assert _Face(face.points, face.plane, face.ring) == face
+    for cls in (ToricDegree, DualSubdivision, DecodedCurve, _Face, PlaneTropicalCurve, Chain,
+                MarkedDualGraph):
+        assert "__init__" not in vars(cls), cls
 
 
 def test_signed_path_refuses_a_misfit_class():

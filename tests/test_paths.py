@@ -8,7 +8,7 @@ import weakref
 from math import comb, gcd
 
 import pytest
-from conftest import irreducible_split, random_order, severi
+from conftest import irreducible_split, quadric_irreducible_split, random_order, severi
 
 from tropico import paths
 from tropico.lattice import (
@@ -191,6 +191,42 @@ def test_irreducible_split_of_the_plane():
     assert [n_irr(d, 1) for d in range(3, 7)] == [1, 225, 87192, 57435240]
     w_irr = irreducible_split(welschinger_count)
     assert [w_irr(d, 0) for d in range(1, 7)] == [1, 1, 8, 240, 18264, 2845440]
+
+
+def test_irreducible_split_of_the_quadric():
+    """The irreducible counts of `conftest.quadric_irreducible_split` on the
+    grid rectangles, P1 x P1 in bidegree (a, b).  At genus 0 they are the
+    quadric's Gromov-Witten invariants, among them Kontsevich and Manin's 12,
+    96 and 3,510 (hep-th/9402147), here recomputed by the associativity
+    recursion of the quadric's quantum product."""
+    # WDVV on the classes (A, A, B, B), with beta.A = a and beta.B = b, gives
+    # 2ab N_(a,b) = sum over beta1 + beta2 = beta of N_beta1 N_beta2
+    # C(2a + 2b - 2, 2a1 + 2b1 - 1) (a1^3 b2^3 - a1^2 b1 a2 b2^2); of the
+    # bidegrees on an axis only the fibres (1, 0) and (0, 1) count, 1 each
+    gw = {(1, 0): 1, (0, 1): 1}
+    for a, b in sorted(itertools.product(range(1, 5), repeat=2), key=sum):
+        total = sum(
+            gw.get((a1, b1), 0) * gw.get((a - a1, b - b1), 0)
+            * comb(2 * a + 2 * b - 2, 2 * a1 + 2 * b1 - 1)
+            * a1 * a1 * (b - b1) ** 2 * (a1 * (b - b1) - b1 * (a - a1))
+            for a1 in range(a + 1)
+            for b1 in range(b + 1)
+            if 0 < a1 + b1 < a + b
+        )
+        assert total % (2 * a * b) == 0
+        gw[a, b] = total // (2 * a * b)
+    cells = [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)]
+    assert [gw[c] for c in cells] == [1, 1, 12, 1, 96, 3510, 640, 87544, 6508640]
+    n_irr = quadric_irreducible_split(count)
+    assert [n_irr(a, b, 0) for a, b in cells] == [gw[c] for c in cells]
+    assert [n_irr(b, a, 0) for a, b in cells] == [gw[c] for c in cells]
+    # the (2, 2) curves form a linear system of dimension 8, so exactly one
+    # passes through 8 general points, and it has genus 1
+    assert n_irr(2, 2, 1) == 1
+    assert all(n_irr(a, b, 1) == n_irr(b, a, 1) for a, b in cells)
+    # the engine's own values, pinned against regressions
+    w_irr = quadric_irreducible_split(welschinger_count)
+    assert [w_irr(a, b, 0) for a, b in cells] == [1, 1, 8, 1, 48, 1086, 256, 18424, 819200]
 
 
 def test_plane_counts_are_severi_degrees():
