@@ -6,9 +6,9 @@ faces of the convex hull subdivides the Newton polygon; the curve is the
 locus where the maximum is attained twice, dual to that subdivision cell
 by cell.  A `DualSubdivision` is such a tiling, checked by
 `validate_tiling`; `decode` builds one per curve a lattice path encodes,
-from the cells of `paths._leaves`.  The same duality turns it into its
-marked dual graph, which this module owns: `marked_dual_graph` writes its
-chain rows, and `curve_real_multiplicity` cuts and folds them.
+from the `_Leaves` of `_leaf_rule`'s memo.  The same duality turns it into
+its marked dual graph, which this module owns: `marked_dual_graph` writes
+its chain rows, and `curve_real_multiplicity` cuts and folds them.
 
 That multiplicity is the oracle for the signed rule of `real`: it weighs
 one decoded curve on its marked dual graph.  Cut at the marks, the graph
@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from types import MappingProxyType
+from weakref import WeakKeyDictionary
 
 from .lattice import (
     LatticePoint,
@@ -37,16 +38,18 @@ from .lattice import (
     _coordinate,
     _edge_key,
     _Record,
+    add,
     convex_hull,
     cross,
     lattice_length,
     primitive,
     sub,
 )
-from .paths import LatticePath, Side, _check_path, _context, _leaves
+from .paths import LatticePath, Side, _check_path, _context
 from .real import SignClass, _fitting_nibble, _merge
 
 RationalPoint = tuple[Fraction, Fraction]
+_rules: WeakKeyDictionary = WeakKeyDictionary()  # each context's `_leaf_rule`
 
 
 class DegenerateSupport(ValueError):
@@ -167,6 +170,48 @@ class DecodedCurve(_Record):
         return len(self.path) - 1 - s + 1
 
 
+class _Leaves(tuple):
+    """The decoding memo's values: the leaves below a path mask, (weight,
+    cells) pairs, or the ints 0 and 1 for no leaf and the one empty leaf.
+    A sum concatenates.  A product pairs each left leaf (outer loop) with
+    each right leaf (inner loop), multiplies the weights and puts the right
+    leaf's cells first, so a move's cell follows the cells below it."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def of(value) -> "_Leaves":
+        return value if value.__class__ is _Leaves else _Leaves(((1, ()),) * value)
+
+    def __add__(self, other):
+        return _Leaves(tuple.__add__(self, other)) if other else self
+
+    def __mul__(self, other):
+        if other.__class__ is not _Leaves:
+            return other and self
+        return _Leaves([(w * x, d + c) for w, c in self for x, d in other])
+
+    __radd__, __rmul__ = __add__, __mul__  # a sum starts from 0; 0 and 1 commute
+
+
+def _leaf_rule():
+    """Decoding's step rule, one per context: a triangle weighs its doubled
+    area and a parallelogram 1, each one leaf with itself as its one cell,
+    one object per distinct cell, so curves that share a cell share its data."""
+    cells: dict[tuple[LatticePoint, ...], LatticePolygon] = {}
+
+    def leaf(weight: int, *corners: LatticePoint) -> _Leaves:
+        key = tuple(sorted(corners))
+        cell = cells.get(key) or cells.setdefault(key, LatticePolygon(corners))
+        return _Leaves(((weight, (cell,)),))
+
+    def step(p: LatticePoint, u: LatticePoint, v: LatticePoint, na: int, nb: int):
+        return ((leaf(abs(cross(u, v)), p, add(p, u), add(add(p, u), v)), 0),)
+
+    step.parallelogram = lambda p, u, v: leaf(1, p, add(p, u), add(add(p, u), v), add(p, v))
+    return step
+
+
 def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> tuple[DecodedCurve, ...]:
     """The curves a path encodes, one per leaf of the two-sided recursion.
 
@@ -178,9 +223,11 @@ def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) 
     m = _check_path(ctx, path)
     pts = tuple(map(tuple, path))
     marked = tuple((pts[j], pts[j + 1]) for j in range(len(pts) - 1))
+    rule = _rules.get(ctx) or _rules.setdefault(ctx, _leaf_rule())
+    plus, minus = (_Leaves.of(ctx.side_value(rule, m, 0, side)) for side in Side)
     out = []
-    for m_plus, cells_plus in _leaves(ctx, m, Side.PLUS):
-        for m_minus, cells_minus in _leaves(ctx, m, Side.MINUS):
+    for m_plus, cells_plus in plus:
+        for m_minus, cells_minus in minus:
             sub_ = DualSubdivision._bind(ambient=P, cells=cells_plus + cells_minus)
             out.append(DecodedCurve._bind(subdivision=sub_, path=pts, marked_edges=marked,
                                           multiplicity=m_plus * m_minus))

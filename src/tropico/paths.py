@@ -10,13 +10,12 @@ to the curve count.
 convex vertex and its two moves (cut off the corner triangle, or mirror the
 corner across a parallelogram).  `_Memo`, one dict per (triangle step rule,
 side), runs it: a missing key evaluates itself and looks its children up in
-the same dict.  The parallelogram move always weighs 1.  A rule
-takes the two corner steps and their sign classes and gives the weighted
-classes of the merged step; the rule here, `_mu_step`, weighs a triangle by
-its doubled area and ignores the classes; `real` adds the signed and
-Welschinger rules.  `_leaves` walks the same moves and gathers the cells,
-which `curves.decode` turns into the subdivisions dual to the curves a path
-encodes.
+the same dict.  A rule takes the corner and its steps' sign classes and
+gives the weighted classes of the merged step, and may weigh the
+parallelogram move, which otherwise weighs 1.  The rule here, `_mu_step`,
+weighs a triangle by its doubled area; `real` adds the signed and
+Welschinger rules.  `curves.decode` runs the memo on a rule whose values
+are `curves._Leaves`, the recursion's leaves with their cells.
 
 No move cuts or mirrors a corner that lies on alpha, the side's boundary
 chain.  P is convex and lies on one side of alpha, so at a path point b on
@@ -62,7 +61,6 @@ from .lattice import (
     LatticePoint,
     LatticePolygon,
     LinearOrder,
-    add,
     boundary_chains,
     cross,
     extremal_vertices,
@@ -159,14 +157,15 @@ class _Corners:
 class _Memo(dict):
     """The memo of one side under one triangle step rule, and the recursion
     too: a missing key `m | packed << n` evaluates itself to the one-sided
-    multiplicity of the path mask `m`, looking the masks it needs up in the
-    same dict.  `packed` holds the step sign classes, the class of the step
-    that leaves point i in bits 4i..4i+3, and is 0 for the sign-free rules.
-    `rule(u, v, na, nb)` gives the (weight, class) alternatives for cutting
-    off the triangle on the corner steps u, v of classes na, nb; the merged
-    step a -> c takes the class in slot a.  The parallelogram move weighs
-    1: the mirrored path a -> j -> c steps along v, then u, so b's class
-    moves to slot a and a's to slot j.
+    value of the path mask `m`, an int, or `curves._Leaves` when decoding,
+    looking the masks it needs up in the same dict.  `packed` holds the step
+    sign classes, the class of the step that leaves point i in bits
+    4i..4i+3, and is 0 for the sign-free rules.  `rule(p, u, v, na, nb)`
+    gives the (weight, class) alternatives for cutting off the triangle at
+    a = p on the corner steps u, v of classes na, nb; the merged step a -> c
+    takes the class in slot a.  The mirrored path a -> j -> c weighs
+    `rule.parallelogram(p, u, v)`, or 1 when the rule has none; it steps
+    along v, then u, so b's class moves to slot a and a's to slot j.
 
     A mask that meets alpha between two points where it differs from alpha
     is the product of its excursions.  Between two consecutive points
@@ -183,10 +182,11 @@ class _Memo(dict):
     than alpha, so the memo holds single excursions only.
     """
 
-    __slots__ = ("rule", "corners", "n")
+    __slots__ = ("rule", "parallelogram", "corners", "n")
 
     def __init__(self, rule: Callable, corners: _Corners, n: int):
-        self.rule, self.corners, self.n = rule, corners, n
+        self.rule, self.parallelogram = rule, getattr(rule, "parallelogram", None)
+        self.corners, self.n = corners, n
 
     def __missing__(self, key: int) -> int:
         n, corners = self.n, self.corners
@@ -216,23 +216,24 @@ class _Memo(dict):
             val = step
         else:
             a, b, u, v, dropped, mirror = step
+            p = corners.X[a], corners.Y[a]
             na, nb = packed >> 4 * a & 15, packed >> 4 * b & 15
             rest = packed ^ na << 4 * a ^ nb << 4 * b
             val = 0
-            for w, c in self.rule(u, v, na, nb):
+            for w, c in self.rule(p, u, v, na, nb):
                 val += w * self[dropped | (rest | c << 4 * a) << n]
             if mirror is not None:
                 j = mirror.bit_length() - 1
-                val += self[dropped | mirror | (rest | nb << 4 * a | na << 4 * j) << n]
+                below = self[dropped | mirror | (rest | nb << 4 * a | na << 4 * j) << n]
+                val += below if self.parallelogram is None else self.parallelogram(p, u, v) * below
         self[key] = val
         return val
 
 
 class _Context:
     """Per-(polygon, order) cache: the lattice points in order with their
-    coordinates by index, each side's boundary chain and corners, one
-    recursion memo per (step rule, side), and per side the decoded leaves,
-    with their cells."""
+    coordinates by index, each side's boundary chain and corners, and one
+    recursion memo per (step rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         self.p, self.q = extremal_vertices(P, order)
@@ -246,18 +247,6 @@ class _Context:
         self.corners = {side: _Corners(self.alpha[side], self.X, self.Y, self.bit, want)
                         for side, want in _TURN.items()}
         self._memos: dict[tuple, _Memo] = {}
-        self.leaves: dict[Side, dict] = {side: {} for side in Side}
-        self._cells: dict[tuple[LatticePoint, ...], LatticePolygon] = {}
-
-    def cell(self, *corners: LatticePoint) -> LatticePolygon:
-        """The decoded cell with these corners, one object per distinct cell
-        of the context, so the curves that share a cell share its derived
-        data too."""
-        key = tuple(sorted(corners))
-        cell = self._cells.get(key)
-        if cell is None:
-            cell = self._cells[key] = LatticePolygon(corners)
-        return cell
 
     def memo(self, rule: Callable, side: Side) -> _Memo:
         """The memo of a triangle step rule on one side, made on first use."""
@@ -336,41 +325,15 @@ class _Context:
                 stack.append((c, k, m | bit, classes, g_p, w_p, g_m, w_m))
 
 
-def _mu_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
+def _mu_step(p: LatticePoint, u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of mu: the doubled area of the corner triangle."""
     return ((abs(cross(u, v)), 0),)
-
-
-def _leaves(ctx: _Context, m: int, side: Side) -> tuple[tuple[int, tuple], ...]:
-    """All leaves of the recursion below the path mask `m`: (weight, cells)
-    pairs."""
-    memo, corners = ctx.leaves[side], ctx.corners[side]
-    val = memo.get(m)
-    if val is not None:
-        return val
-    # fewer steps than alpha: no chain of moves gets there
-    step = corners.moves(m) if m.bit_count() > corners.steps else 0
-    if isinstance(step, int):
-        val = ((1, ()),) if step else ()
-    else:
-        a, b, u, v, dropped, mirror = step
-        a, b = ctx.points[a], ctx.points[b]
-        c = add(b, v)
-        tri = ctx.cell(a, b, c)
-        area2 = abs(cross(u, v))
-        out = [(w * area2, cells + (tri,)) for w, cells in _leaves(ctx, dropped, side)]
-        if mirror is not None:
-            par = ctx.cell(a, b, c, add(a, v))
-            out += [(w, cells + (par,)) for w, cells in _leaves(ctx, dropped | mirror, side)]
-        val = tuple(out)
-    memo[m] = val
-    return val
 
 
 # Contexts kept, least recently used evicted first.  `table` alternates the
 # default order with one resampled order per genus, so two already keep the
 # default-order memos warm across genera.
-_CONTEXTS_KEPT = 8
+_CONTEXTS_KEPT = 2
 _contexts: dict[tuple, _Context] = {}
 
 

@@ -206,14 +206,14 @@ def _triangle_welschinger_weight(u: LatticePoint, v: LatticePoint) -> int:
     return -1 if interior & 1 else 1
 
 
-def _nu_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
+def _nu_step(p: LatticePoint, u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of nu: the Welschinger weight of the corner
     triangle; a triangle of weight 0 leaves no alternative."""
     w = _triangle_welschinger_weight(u, v)
     return ((w, 0),) if w else ()
 
 
-def _mu_real_step(u: LatticePoint, v: LatticePoint, na: int, nb: int):
+def _mu_real_step(p: LatticePoint, u: LatticePoint, v: LatticePoint, na: int, nb: int):
     """Triangle step rule of mu_real: the `_merge` alternatives for the
     classes na, nb of the two corner steps."""
     return _merge(na, nb, _index(u), _index(v), _primitive_index((u[0] + v[0], u[1] + v[1])))

@@ -1,8 +1,8 @@
 """Shared helpers: random concave coefficient draws, a floating grid
 oracle that samples the plane and checks every near-tie of the max against
 the reported curve, the irreducible splits of curve counts on the plane and
-on the quadric, and the Severi degrees of the plane by the Caporaso-Harris
-recursion."""
+on the quadric, the Severi degrees of the plane by the Caporaso-Harris
+recursion, and a reference for the leaves that `decode` reads."""
 
 import itertools
 import math
@@ -13,7 +13,8 @@ from math import comb, lcm, prod
 import numpy as np
 
 from tropico.curves import TropicalPolynomial
-from tropico.lattice import LinearOrder, grid_rectangle, standard_triangle
+from tropico import paths
+from tropico.lattice import LatticePolygon, LinearOrder, grid_rectangle, standard_triangle
 from tropico.paths import InvalidGenus
 
 
@@ -226,3 +227,34 @@ def severi(d, delta):
     ("Counting plane curves of any genus", Invent. Math. 1998): the curves
     meet a line in d free points, N^{d,delta}(0, d e_1)."""
     return _caporaso_harris(d, delta, (0,) * d, (d,) + (0,) * (d - 1))
+
+
+def reference_leaves(P, order, side):
+    """The leaves of one side's corner-smoothing recursion as a function of
+    the path mask: (weight, cells) pairs, in the order `decode` gives them.
+    The recursion runs on the whole mask, never splitting it into
+    excursions, over `_Corners.moves` with a memo of its own: the first
+    convex corner's triangle is cut off, weighing its doubled area and
+    appended to the cells below it, then the corner is mirrored across the
+    parallelogram, which weighs 1 and is appended the same way."""
+    ctx = paths._context(P, order)
+    corners = ctx.corners[side]
+    cell = cache(lambda *vertices: LatticePolygon(vertices))
+
+    @cache
+    def leaves(m):
+        # fewer steps than alpha: no chain of moves gets there
+        step = corners.moves(m) if m.bit_count() > corners.steps else 0
+        if isinstance(step, int):
+            return ((1, ()),) if step else ()
+        a, b, u, v, dropped, mirror = step
+        a, b = ctx.points[a], ctx.points[b]
+        c = (b[0] + v[0], b[1] + v[1])
+        tri = cell(a, b, c)
+        area2 = abs(u[0] * v[1] - u[1] * v[0])
+        out = [(w * area2, cells + (tri,)) for w, cells in leaves(dropped)]
+        if mirror is not None:
+            par = cell(a, b, c, (a[0] + v[0], a[1] + v[1]))
+            out += [(w, cells + (par,)) for w, cells in leaves(dropped | mirror)]
+        return tuple(out)
+    return leaves

@@ -8,9 +8,15 @@ import weakref
 from math import comb, gcd
 
 import pytest
-from conftest import irreducible_split, quadric_irreducible_split, random_order, severi
+from conftest import (
+    irreducible_split,
+    quadric_irreducible_split,
+    random_order,
+    reference_leaves,
+    severi,
+)
 
-from tropico import paths
+from tropico import curves, paths
 from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
@@ -319,6 +325,68 @@ def test_decode_triangle_census():
                 assert len(D.triangles()) == s + 2 * g - 2
                 for a, b in D.boundary_edges():
                     assert abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1
+
+
+@pytest.mark.parametrize("P, genera", [
+    (standard_triangle(3), None),
+    (standard_triangle(4), None),
+    (standard_triangle(5), (1, 3)),
+    (grid_rectangle(3, 3), None),
+    (CUSP, None),
+    (LatticePolygon([(0, 0), (4, 0), (2, 2), (0, 2)]), None),
+])
+def test_decode_leaves_match_reference(P, genera):
+    """decode reads its leaves from the step-rule memo, which splits a mask
+    at alpha and multiplies the excursions' leaves.  Against the recursion
+    on whole masks, under the default order and three seeded ones, on every
+    path of every genus from -1 up (tri5 at g = 1 and 3 only): each side's
+    leaves, weights, cell tuples and order, and the curves decode builds
+    from them."""
+    _, interior = P.counts()
+    for order in _orders(f"leaves|{P.vertices}", 3):
+        ctx = paths._context(P, order)
+        want = {side: reference_leaves(P, order, side) for side in Side}
+        for g in genera or range(-1, interior + 1):
+            for pts in enumerate_paths(P, order, paths._steps_for_genus(P, g)):
+                decoded = decode(P, order, pts)
+                m = paths._check_path(ctx, pts)
+                leaves = {}
+                for side in Side:
+                    leaves[side] = want[side](m)
+                    got = ctx.side_value(curves._rules[ctx], m, 0, side)
+                    assert curves._Leaves.of(got) == leaves[side]
+                assert [(c.multiplicity, c.subdivision.cells) for c in decoded] == [
+                    (w_plus * w_minus, cells_plus + cells_minus)
+                    for w_plus, cells_plus in leaves[Side.PLUS]
+                    for w_minus, cells_minus in leaves[Side.MINUS]]
+
+
+@pytest.mark.parametrize("P, g, curve_count, triangulated", [
+    (standard_triangle(4), 1, 118, 3),
+    (standard_triangle(4), 2, 18, 3),
+    (grid_rectangle(3, 3), 2, 188, 6),
+])
+def test_parallelogram_weight_reaches_the_recursion(P, g, curve_count, triangulated):
+    """Under a rule that weighs every triangle 1, the sum of plus * minus
+    over the paths counts the leaves that decode turns into curves: all of
+    them when the parallelogram weighs 1, whether the rule says so or
+    leaves it to the bare lookup, and those with no parallelogram cell when
+    it weighs 0."""
+    def unit(parallelogram=None):
+        def rule(p, u, v, na, nb):
+            return ((1, 0),)
+        if parallelogram is not None:
+            rule.parallelogram = lambda p, u, v: parallelogram
+        return rule
+
+    decoded = [c for pts in enumerate_paths(P, DEFAULT, paths._steps_for_genus(P, g))
+               for c in decode(P, DEFAULT, pts)]
+    assert len(decoded) == curve_count
+    assert sum(all(len(cell.vertices) == 3 for cell in c.subdivision.cells)
+               for c in decoded) == triangulated
+    assert paths._total(P, g, DEFAULT, unit()) == curve_count
+    assert paths._total(P, g, DEFAULT, unit(1)) == curve_count
+    assert paths._total(P, g, DEFAULT, unit(0)) == triangulated
 
 
 def test_subdivision_validation_rejects_garbage():
