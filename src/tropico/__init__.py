@@ -38,7 +38,6 @@ _EXPORTS = {
         "welschinger_count",
     ),
     "curves": (
-        "Chain",
         "DecodedCurve",
         "DegenerateSupport",
         "DualSubdivision",

@@ -8,7 +8,9 @@ by cell.  A `DualSubdivision` is such a tiling, checked by
 `validate_tiling`; `decode` builds one per curve a lattice path encodes,
 from the `_Leaves` of `_leaf_rule`'s memo.  The same duality turns it into
 its marked dual graph, which this module owns: `marked_dual_graph` writes
-its chain rows, and `curve_real_multiplicity` cuts and folds them.
+its chains as int rows, and `curve_real_multiplicity` cuts and folds them.
+A chain's weight is the lattice length of its first edge (a, b), and its
+direction the primitive normal (a[1] - b[1], b[0] - a[0]).
 
 That multiplicity is the oracle for the signed rule of `real`: it weighs
 one decoded curve on its marked dual graph.  Cut at the marks, the graph
@@ -646,25 +648,9 @@ def is_smooth(S: DualSubdivision) -> bool:
 # -- marked dual graphs -------------------------------------------------------
 
 EdgeKey = tuple[LatticePoint, LatticePoint]
-# A chain terminal: ("tri", triangle_index) or ("end",) for a boundary ray.
-# Inside, a terminal is an int: the triangle's index, or -1 for the end, and
-# a chain is a row (edges, left terminal, right terminal).
-Terminal = tuple
+# A chain is a row (edges, left terminal, right terminal); a terminal is a
+# triangle's index, or -1 for the boundary end.
 Row = tuple[tuple[EdgeKey, ...], int, int]
-
-
-def _terminal(t: int) -> Terminal:
-    return ("tri", t) if t >= 0 else ("end",)
-
-
-class Chain(_Record):
-    """A maximal run of parallel subdivision edges joined through
-    parallelogram crossings; dual to one straight piece of curve."""
-
-    edges: tuple[EdgeKey, ...]
-    terminals: tuple[Terminal, Terminal]
-    weight: int
-    direction: LatticePoint
 
 
 class MarkedDualGraph(_Record):
@@ -672,39 +658,28 @@ class MarkedDualGraph(_Record):
     triangle, a crossing per parallelogram, chains of dual edges, one end
     per boundary edge, and the path steps as marked edges.
 
-    Inside, each chain is a row (edges, left, right) with int terminals.
-    `marked_dual_graph` binds the rows in place of the chains (`_bind`), and
-    the `Chain` records are built on first read of `chains`; a graph built
-    through its constructor keeps its chains and derives the rows on first
-    use.  The other form is kept in the instance `__dict__` by
-    `cached_property`, as a polygon's derived data is, so equality, hash and
-    repr do not change.
+    Each chain is a maximal run of parallel subdivision edges joined through
+    parallelogram crossings, dual to one straight piece of curve, kept as a
+    row (edges, left, right) whose terminals are a triangle's index or -1
+    for the end.  The constructor raises ValueError for any other terminal;
+    `marked_dual_graph` binds the rows it walked unchecked (`_bind`).
     """
 
     triangles: tuple[LatticePolygon, ...]
     crossings: tuple[LatticePolygon, ...]
-    chains: tuple[Chain, ...]
+    chains: tuple[Row, ...]
     marked: tuple[EdgeKey, ...]
 
-    @cached_property
-    def chains(self) -> tuple[Chain, ...]:
-        chains = []
-        for edges, left, right in self._rows:
-            (ax, ay), (bx, by) = edges[0]
-            vx, vy = bx - ax, by - ay
-            w = gcd(vx, vy)
-            chains.append(Chain._bind(edges=edges, terminals=(_terminal(left), _terminal(right)),
-                                      weight=w, direction=(-vy // w, vx // w)))
-        return tuple(chains)
-
-    @cached_property
-    def _rows(self) -> tuple[Row, ...]:
-        return tuple(
-            (c.edges, *(t[1] if t[0] == "tri" else -1 for t in c.terminals)) for c in self.chains
-        )
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
+        for _, *ends in self.chains:
+            for t in ends:
+                if not -1 <= t < len(self.triangles):
+                    raise ValueError(f"chain terminal {t!r} is neither -1 nor a triangle index "
+                                     f"below {len(self.triangles)}")
 
     def chain_of(self, edge: EdgeKey) -> int:
-        for i, (edges, _, _) in enumerate(self._rows):
+        for i, (edges, _, _) in enumerate(self.chains):
             if edge in edges:
                 return i
         raise KeyError(f"edge {edge} is on no chain")
@@ -801,7 +776,7 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
     with weight 1, and the legs below a triangle merge by `_merge` into the
     leg above.  The weights reaching the end sum to the tree's
     multiplicity; the curve's is the product over its trees.  The fold runs
-    on the graph's chain rows: a piece's terminals are ints, a triangle's
+    on the graph's chains: a piece's terminals are ints, a triangle's
     index, -1 for the end, and -2 - nibble for the cut at a mark of that
     class.
     """
@@ -815,7 +790,7 @@ def curve_real_multiplicity(G: MarkedDualGraph, signs: Mapping[EdgeKey, SignClas
         if nibble is None:
             raise ValueError(f"sign class {set(cls)} does not fit edge {e}")
         cuts[e] = -2 - nibble
-    pieces, legs, ends = _cut(G._rows, cuts)
+    pieces, legs, ends = _cut(G.chains, cuts)
     seen = [False] * len(pieces)
     total = 1
     for i in ends:
@@ -835,7 +810,7 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
     parallelogram cells (the dual curve passes straight through those);
     each chain ends either at a triangle node or at a boundary end.  The
     cells' edges and opposite sides are read from the cells, which compute
-    them once.  The chains are walked with int terminals and kept as the
+    them once.  The chains are walked with int terminals and bound as the
     graph's rows (`MarkedDualGraph`).
     """
     sub_ = D.subdivision
@@ -917,4 +892,4 @@ def marked_dual_graph(D: DecodedCurve) -> MarkedDualGraph:
             raise MalformedSubdivision(f"marked step {a}-{b} is not a subdivision edge")
         marked.append(key)
     return MarkedDualGraph._bind(triangles=tuple(triangles), crossings=tuple(crossings),
-                                 _rows=tuple(rows), marked=tuple(marked))
+                                 chains=tuple(rows), marked=tuple(marked))

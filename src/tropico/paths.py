@@ -63,7 +63,6 @@ from .lattice import (
     LinearOrder,
     boundary_chains,
     cross,
-    extremal_vertices,
     sub,
 )
 
@@ -236,14 +235,16 @@ class _Context:
     recursion memo per (step rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
-        self.p, self.q = extremal_vertices(P, order)
+        # raises NonInjectiveOrder first; both chains run from p to q
+        plus, minus = boundary_chains(P, order)
+        self.p, self.q = plus[0], plus[-1]
         self.points = sorted(P.lattice_points(), key=order.key)
         self.n = len(self.points)
         self.X = [x for x, _ in self.points]
         self.Y = [y for _, y in self.points]
         self.bit = {pt: 1 << i for i, pt in enumerate(self.points)}
-        chains = zip((Side.PLUS, Side.MINUS), boundary_chains(P, order))
-        self.alpha = {side: sum(map(self.bit.__getitem__, chain)) for side, chain in chains}
+        self.alpha = {side: sum(map(self.bit.__getitem__, chain))
+                      for side, chain in ((Side.PLUS, plus), (Side.MINUS, minus))}
         self.corners = {side: _Corners(self.alpha[side], self.X, self.Y, self.bit, want)
                         for side, want in _TURN.items()}
         self._memos: dict[tuple, _Memo] = {}

@@ -324,13 +324,14 @@ def _cut_at_marks(G):
     the pieces on either side of it."""
     marked = set(G.marked)
     pieces = []
-    for chain in G.chains:
-        a, b = chain.terminals
-        for e in chain.edges:
+    for edges, *ends in G.chains:
+        # a chain's terminal is a triangle's index, or -1 for the end
+        a, b = (("tri", t) if t >= 0 else ("end",) for t in ends)
+        for e in edges:
             if e in marked:
-                pieces.append((a, ("mark", e), chain.edges))
+                pieces.append((a, ("mark", e), edges))
                 a = ("mark", e)
-        pieces.append((a, b, chain.edges))
+        pieces.append((a, b, edges))
     return pieces
 
 

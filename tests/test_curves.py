@@ -16,6 +16,7 @@ from tropico.lattice import (
     convex_hull,
     cross,
     grid_rectangle,
+    lattice_length,
     standard_triangle,
     sub,
     toric_degree,
@@ -26,6 +27,7 @@ from tropico.curves import (
     DegenerateSupport,
     DualSubdivision,
     MalformedSubdivision,
+    MarkedDualGraph,
     NotSimple,
     ParallelDirections,
     PlaneTropicalCurve,
@@ -657,9 +659,12 @@ def test_marked_dual_graph_line():
     assert len(G.crossings) == 0
     assert len(G.chains) == 3
     assert len(G.marked) == 2
-    for chain in G.chains:
-        assert chain.weight == 1
-        assert chain.terminals[0][0] == "tri" or chain.terminals[1][0] == "tri"
+    for edges, _, _ in G.chains:
+        (a, b), = edges
+        assert lattice_length(sub(b, a)) == 1
+    assert sorted((left, right) for _, left, right in G.chains) == [(0, -1)] * 3
+    for i, (edges, _, _) in enumerate(G.chains):
+        assert G.chain_of(edges[0]) == i
 
 
 def test_marked_dual_graph_parallelogram_crossing():
@@ -674,11 +679,11 @@ def test_marked_dual_graph_parallelogram_crossing():
             if not G.crossings:
                 continue
             found += 1
-            long_chains = [chain for chain in G.chains if len(chain.edges) >= 2]
+            long_chains = [edges for edges, _, _ in G.chains if len(edges) >= 2]
             assert long_chains
-            for chain in long_chains:
+            for edges in long_chains:
                 vecs = set()
-                for a, b in chain.edges:
+                for a, b in edges:
                     v = (b[0] - a[0], b[1] - a[1])
                     vecs.add(max(v, (-v[0], -v[1])))
                 assert len(vecs) == 1
@@ -729,3 +734,20 @@ def test_decoded_graph_chains_carry_step_marks():
         assert len(G.marked) == len(c.marked_edges)
         for e in G.marked:
             G.chain_of(e)  # raises KeyError if an edge is on no chain
+    with pytest.raises(KeyError, match=r"is on no chain"):
+        G.chain_of(((0, 0), (3, 0)))
+
+
+def test_marked_dual_graph_rejects_an_unknown_terminal():
+    # A terminal is a triangle's index or -1 for the end; the fold reads
+    # -2 - nibble as the cut at a mark, so -2 may not come in by hand.
+    P = standard_triangle(1)
+    (c,) = decode(P, DEFAULT, ((0, 1), (0, 0), (1, 0)))
+    G = marked_dual_graph(c)
+    assert MarkedDualGraph(G.triangles, G.crossings, G.chains, G.marked) == G
+    (edges, _, right), *rest = G.chains
+    for t in (-2, len(G.triangles)):
+        for row in ((edges, t, right), (edges, 0, t)):
+            with pytest.raises(ValueError, match=rf"chain terminal {t} is neither -1 nor a "
+                                                 r"triangle index below 1$"):
+                MarkedDualGraph(G.triangles, G.crossings, (row, *rest), G.marked)

@@ -12,7 +12,6 @@ from tropico.lattice import LatticePolygon, LinearOrder, ToricDegree, standard_t
 from tropico.paths import enumerate_paths, mu
 from tropico.real import SignedPath, sign_class_of
 from tropico.curves import (
-    Chain,
     DecodedCurve,
     DualSubdivision,
     MarkedDualGraph,
@@ -80,7 +79,7 @@ def test_public_names_load_on_demand():
     with pytest.raises(ImportError):
         from tropico import no_such_name  # noqa: F401
     assert set(tropico.__all__) <= set(dir(tropico))
-    assert len(set(tropico.__all__)) == len(tropico.__all__) == 47
+    assert len(set(tropico.__all__)) == len(tropico.__all__) == 46
 
 
 # -- records ---------------------------------------------------------------------
@@ -96,7 +95,6 @@ def _records():
     sub_ = DualSubdivision(ambient=curve.subdivision.ambient, cells=curve.subdivision.cells)
     signs = tuple(sign_class_of((b[0] - a[0], b[1] - a[1]), (0, 0)) for a, b in zip(path, path[1:]))
     graph = marked_dual_graph(curve)
-    chain = graph.chains[0]
     return [
         (LatticePolygon(vertices=[(0, 2), (0, 0), (2, 0)]), "LatticePolygon",
          ("vertices",), (T.vertices,)),
@@ -110,10 +108,6 @@ def _records():
          (sub_, path, curve.marked_edges, curve.multiplicity)),
         (SignedPath(path=list(map(list, path)), signs=[set(s) for s in signs]), "SignedPath",
          ("path", "signs"), (path, signs)),
-        (Chain(edges=chain.edges, terminals=chain.terminals, weight=chain.weight,
-               direction=chain.direction),
-         "Chain", ("edges", "terminals", "weight", "direction"),
-         (chain.edges, chain.terminals, chain.weight, chain.direction)),
         (MarkedDualGraph(triangles=graph.triangles, crossings=graph.crossings,
                          chains=graph.chains, marked=graph.marked),
          "MarkedDualGraph", ("triangles", "crossings", "chains", "marked"),
@@ -148,7 +142,7 @@ def test_records_are_immutable_values():
     assert LinearOrder((1, 0), (0, -1)) != LinearOrder((1, 0), (0, 1))
     # equal fields do not make records of two classes equal
     assert LinearOrder((1, 0), (0, -1)) != DualSubdivision((1, 0), (0, -1))
-    assert Chain((), (), 1, (0, 1)) != MarkedDualGraph((), (), 1, (0, 1))
+    assert DecodedCurve((), (), (), 1) != MarkedDualGraph((), (), (), 1)
     assert len({standard_triangle(2), records[0][0], standard_triangle(3)}) == 2
 
 
@@ -171,11 +165,12 @@ def test_records_bind_their_fields_in_one_place():
             cls(*values, **{fields[0]: values[0]})
         with pytest.raises(TypeError, match="bogus"):
             cls(*values, bogus=1)
-    with pytest.raises(TypeError, match=r"Chain takes the fields edges, terminals, weight, "
-                                        r"direction: too many positional values \(5\)"):
-        Chain((), (), 1, (0, 1), None)
-    with pytest.raises(TypeError, match="'edges' given twice, missing field 'direction'"):
-        Chain((), edges=(), terminals=(), weight=1)
+    with pytest.raises(TypeError, match=r"DecodedCurve takes the fields subdivision, path, "
+                                        r"marked_edges, multiplicity: too many positional "
+                                        r"values \(5\)"):
+        DecodedCurve((), (), (), 1, None)
+    with pytest.raises(TypeError, match="'subdivision' given twice, missing field 'multiplicity'"):
+        DecodedCurve((), subdivision=(), path=(), marked_edges=())
     T = standard_triangle(2)
     assert LatticePolygon._bind(vertices=T.vertices) == T
     f = TropicalPolynomial({(0, 0): 0, (1, 0): 0, (0, 1): 0})
@@ -184,8 +179,7 @@ def test_records_bind_their_fields_in_one_place():
     assert PlaneTropicalCurve(C.vertices, C.bounded_edges, C.rays) == C
     face = f._faces[0]
     assert _Face(face.points, face.plane, face.ring) == face
-    for cls in (ToricDegree, DualSubdivision, DecodedCurve, _Face, PlaneTropicalCurve, Chain,
-                MarkedDualGraph):
+    for cls in (ToricDegree, DualSubdivision, DecodedCurve, _Face, PlaneTropicalCurve):
         assert "__init__" not in vars(cls), cls
 
 

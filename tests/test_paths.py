@@ -20,7 +20,9 @@ from tropico import curves, paths
 from tropico.lattice import (
     LatticePolygon,
     LinearOrder,
+    NonInjectiveOrder,
     boundary_chains,
+    extremal_vertices,
     grid_rectangle,
     standard_triangle,
     sub,
@@ -481,6 +483,20 @@ def test_context_cache_stays_bounded():
     for g in range(-1, 4):
         assert count(P, g) == count(P, g, random_order(rng))
         assert paths._context(P, DEFAULT) is ctx
+
+
+def test_context_ends_are_the_extremal_vertices():
+    # a context reads its path ends off its boundary chains, which refuse a
+    # non-injective order before any context is made
+    rng = random.Random(11)
+    for P in (standard_triangle(3), grid_rectangle(3, 2), CUSP):
+        for order in [DEFAULT] + [random_order(rng) for _ in range(5)]:
+            ctx = paths._context(P, order)
+            assert (ctx.p, ctx.q) == extremal_vertices(P, order)
+    before = dict(paths._contexts)
+    with pytest.raises(NonInjectiveOrder):
+        count(standard_triangle(2), 0, LinearOrder((1, 0), (2, 0)))
+    assert paths._contexts == before
 
 
 def test_decoded_cells_leave_with_their_context():

@@ -19,7 +19,6 @@ from tropico.lattice import (
     _edge_key,
     grid_rectangle,
     lattice_length,
-    primitive,
     standard_triangle,
     sub,
 )
@@ -38,7 +37,6 @@ from tropico.real import (
     welschinger_count,
 )
 from tropico.curves import (
-    Chain,
     IncompatibleGraph,
     MarkedDualGraph,
     curve_real_multiplicity,
@@ -371,10 +369,10 @@ def _brute_real_multiplicity(G, signs):
     vertex, and weight each one by 2 for every unmarked even-weight chain and
     4 for every marked even-weight chain."""
     chain_data = []
-    for chain in G.chains:
-        v = sub(chain.edges[0][1], chain.edges[0][0])
+    for edges, _, _ in G.chains:
+        v = sub(edges[0][1], edges[0][0])
         pp = _primitive_parity(v)
-        marks = [signs[e] for e in chain.edges if e in signs]
+        marks = [signs[e] for e in edges if e in signs]
         classes, done = [], set()
         for q in QUADRANTS:
             if q in done:
@@ -383,13 +381,13 @@ def _brute_real_multiplicity(G, signs):
             classes.append(c)
             done.update(c)
         ok = [c for c in classes if all(m == c for m in marks)]
-        chain_data.append((_parity(v), ok, len(marks), chain.weight))
+        chain_data.append((_parity(v), ok, len(marks), lattice_length(v)))
 
     incident = {}
-    for i, chain in enumerate(G.chains):
-        for t in chain.terminals:
-            if t[0] == "tri":
-                incident.setdefault(t[1], []).append(i)
+    for i, (_, *ends) in enumerate(G.chains):
+        for t in ends:
+            if t >= 0:
+                incident.setdefault(t, []).append(i)
 
     a = sum(1 for p, ok, nm, w in chain_data if w % 2 == 0 and nm > 0)
     b = sum(1 for p, ok, nm, w in chain_data if w % 2 == 0 and nm == 0)
@@ -540,7 +538,7 @@ def test_curve_real_multiplicity_validates_signs():
 # The repr of every marked dual graph of the decoded quartics below, with the
 # curve's decoded and curve-level real multiplicities, in path and curve
 # order: a change to anything the pipeline outputs changes the digest.
-_QUARTIC_PIPELINE_DIGEST = (952, "967ea3c7fd5942cce2c204f8b5e0af8a3fe1ea2444e7f84d93607e0134608fb3")
+_QUARTIC_PIPELINE_DIGEST = (952, "03cc38cc3a8a8a4433babf91e19d639fd66df7a6bbee592d3521298c7ccd7884")
 
 
 def test_quartic_pipeline_output_is_pinned():
@@ -562,10 +560,9 @@ def test_quartic_pipeline_output_is_pinned():
 
 
 def test_graph_built_by_hand_equals_decoded_graph():
-    # A decoded graph keeps its chains as int rows and builds the Chain
-    # records on first read; a graph built through the constructor keeps
-    # the given chains and derives the rows on first use.  Rebuilt by hand,
-    # every decoded quartic graph is the same value with the same
+    # `marked_dual_graph` binds its chain rows unchecked; the constructor
+    # checks their terminals.  Rebuilt through the constructor from its
+    # rows, every decoded quartic graph is the same value with the same
     # curve-level real multiplicity.
     curves = 0
     for order in (DEFAULT, LinearOrder((2, -1), (1, 3))):
@@ -577,17 +574,11 @@ def test_graph_built_by_hand_equals_decoded_graph():
                 signs = _graph_signs(pts, choice)
                 for c in decode(P, order, pts):
                     G = marked_dual_graph(c)
-                    assert "chains" not in vars(G)
                     m = curve_real_multiplicity(G, signs)
-                    assert "chains" not in vars(G)
-                    chains = tuple(
-                        Chain(edges=ch.edges, terminals=ch.terminals, weight=ch.weight,
-                              direction=ch.direction)
-                        for ch in G.chains
-                    )
+                    chains = tuple((tuple(edges), left, right) for edges, left, right in G.chains)
                     H = MarkedDualGraph(triangles=G.triangles, crossings=G.crossings,
                                         chains=chains, marked=G.marked)
-                    assert "_rows" not in vars(H)
+                    assert vars(H) == vars(G)
                     assert curve_real_multiplicity(H, signs) == m
                     assert H == G and repr(H) == repr(G) and hash(H) == hash(G)
                     curves += 1
@@ -595,8 +586,8 @@ def test_graph_built_by_hand_equals_decoded_graph():
 
 
 @pytest.mark.parametrize("P, g, total, curves, digest", [
-    (standard_triangle(5), 3, 7915, 2496, "012fe903a1b12d9d87fc76c586e69f105a1b910e8bf05b3b3e47d4ecfa0ce2e2"),
-    (grid_rectangle(3, 3), 0, 4115, 2033, "da35d9b125f99f5ea92674bdbe57f06a3a9ee359fb73a269e5dad64fc2f71574"),
+    (standard_triangle(5), 3, 7915, 2496, "dd94aa937dcbd6fbd795a3358cc27fbe9ac8657908d191d69537c8f0ed16f64b"),
+    (grid_rectangle(3, 3), 0, 4115, 2033, "7cb6736ab147842a586218d12344b0cccdad92c3c9d6b46880eb6936642feede"),
 ], ids=["tri5-g3", "rect3-g0"])
 def test_curve_level_identity_one_size_up(P, g, total, curves, digest):
     # every decoded curve of the cell under one seeded order and sign vector:
@@ -636,15 +627,7 @@ def _tripod_graph(T, marked_pairs):
     v = T.vertices
     edges = [(v[i], v[(i + 1) % 3]) for i in range(3)]
     edges = [_edge_key(a, b) for a, b in edges]
-    chains = tuple(
-        Chain(
-            edges=(e,),
-            terminals=(("tri", 0), ("end",)),
-            weight=lattice_length(sub(e[1], e[0])),
-            direction=primitive((e[0][1] - e[1][1], e[1][0] - e[0][0])),
-        )
-        for e in edges
-    )
+    chains = tuple(((e,), 0, -1) for e in edges)
     return MarkedDualGraph(
         triangles=(T,), crossings=(), chains=chains, marked=tuple(marked_pairs)
     )
@@ -697,8 +680,7 @@ def test_synthetic_all_odd_triangle():
 def test_incompatible_graph_two_ends():
     # An unmarked chain joining two boundary ends is not a one-end tree.
     e = _edge_key((0, 0), (1, 0))
-    chain = Chain(edges=(e,), terminals=(("end",), ("end",)), weight=1, direction=(0, 1))
-    G = MarkedDualGraph(triangles=(), crossings=(), chains=(chain,), marked=())
+    G = MarkedDualGraph(triangles=(), crossings=(), chains=(((e,), -1, -1),), marked=())
     with pytest.raises(IncompatibleGraph, match="^component has 2 ends, expected exactly 1$"):
         curve_real_multiplicity(G, {})
 
@@ -711,12 +693,7 @@ def test_incompatible_graph_cycle():
     T2 = LatticePolygon([(1, 0), (1, 1), (0, 1)])
     e1, e2 = _edge_key((1, 0), (0, 1)), _edge_key((0, 0), (1, 1))
     e3, e4 = _edge_key((0, 0), (1, 0)), _edge_key((1, 0), (1, 1))
-    chains = (
-        Chain(edges=(e1,), terminals=(("tri", 0), ("tri", 1)), weight=1, direction=(1, 1)),
-        Chain(edges=(e2,), terminals=(("tri", 0), ("tri", 1)), weight=1, direction=(1, -1)),
-        Chain(edges=(e3,), terminals=(("tri", 0), ("end",)), weight=1, direction=(0, -1)),
-        Chain(edges=(e4,), terminals=(("tri", 1), ("end",)), weight=1, direction=(1, 0)),
-    )
+    chains = (((e1,), 0, 1), ((e2,), 0, 1), ((e3,), 0, -1), ((e4,), 1, -1))
     G = MarkedDualGraph(triangles=(T1, T2), crossings=(), chains=chains, marked=(e4,))
     with pytest.raises(IncompatibleGraph, match="^component is not a tree$"):
         curve_real_multiplicity(G, {e4: sign_class_of((0, 1), (0, 0))})
@@ -728,14 +705,10 @@ def test_incompatible_graph_no_end_or_two_legs():
     T = LatticePolygon([(0, 0), (1, 0), (0, 1)])
     e1, e2 = _edge_key((0, 0), (1, 0)), _edge_key((1, 0), (2, 0))
     signs = {e: sign_class_of((1, 0), (0, 0)) for e in (e1, e2)}
-    chain = Chain(edges=(e1, e2), terminals=(("end",), ("end",)), weight=1, direction=(0, 1))
-    G = MarkedDualGraph(triangles=(), crossings=(), chains=(chain,), marked=(e1, e2))
+    G = MarkedDualGraph(triangles=(), crossings=(), chains=(((e1, e2), -1, -1),), marked=(e1, e2))
     with pytest.raises(IncompatibleGraph, match="^component has 0 ends, expected exactly 1$"):
         curve_real_multiplicity(G, signs)
-    chains = tuple(
-        Chain(edges=(e,), terminals=(("tri", 0), ("end",)), weight=1, direction=(0, 1))
-        for e in (e1, e2)
-    )
+    chains = tuple(((e,), 0, -1) for e in (e1, e2))
     G = MarkedDualGraph(triangles=(T,), crossings=(), chains=chains, marked=(e2,))
     with pytest.raises(IncompatibleGraph, match="^trivalent node without exactly three legs$"):
         curve_real_multiplicity(G, {e2: signs[e2]})
