@@ -78,17 +78,6 @@ class ParallelDirections(ValueError):
 # -- dual subdivisions and decoded curves -------------------------------------
 
 
-def _ambient_side(
-    P: LatticePolygon, a: LatticePoint, b: LatticePoint
-) -> tuple[LatticePoint, LatticePoint] | None:
-    """The side (s0, s1) of P that contains the segment a-b between two
-    lattice points, or None: the first side both ends lie on."""
-    shared = (P.side_bits(a) or 0) & (P.side_bits(b) or 0)
-    if not shared:
-        return None
-    return P._sides[(shared & -shared).bit_length() - 1]
-
-
 class DualSubdivision(_Record):
     """A set of convex lattice cells tiling an ambient polygon."""
 
@@ -226,7 +215,7 @@ def decode(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) 
     pts = tuple(map(tuple, path))
     marked = tuple((pts[j], pts[j + 1]) for j in range(len(pts) - 1))
     rule = _rules.get(ctx) or _rules.setdefault(ctx, _leaf_rule())
-    plus, minus = (_Leaves.of(ctx.side_value(rule, m, 0, side)) for side in Side)
+    plus, minus = (_Leaves.of(ctx.memo(rule, side)[m]) for side in Side)
     out = []
     for m_plus, cells_plus in plus:
         for m_minus, cells_minus in minus:
@@ -594,8 +583,10 @@ def curve_of(f: TropicalPolynomial) -> PlaneTropicalCurve:
             bounded.append((i, j, w, d))
         else:
             (i,) = incident
-            # the tiling check put this edge on a side; the ray is its outward normal
-            s0, s1 = _ambient_side(sub_.ambient, a, b)
+            # the tiling check put this edge on a side, the first one both
+            # ends lie on; the ray is its outward normal
+            shared = sub_.ambient.side_bits(a) & sub_.ambient.side_bits(b)
+            s0, s1 = sub_.ambient._sides[(shared & -shared).bit_length() - 1]
             rays.append((i, primitive((s1[1] - s0[1], s0[0] - s1[0])), w))
     return PlaneTropicalCurve._bind(
         vertices=tuple(vertices),

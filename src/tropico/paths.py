@@ -46,8 +46,10 @@ bits 4i..4i+3.  A cut a -> b -> c merges slots a and b into slot a, a
 mirror to j moves b's class to slot a and a's to slot j, and an excursion
 from f to g keeps slots f to g - 1, so the classes of one stretch of path
 sit in the same bits on every path through it.  A memo's key is the int
-`mask | classes << n`.  The public functions take and yield point tuples and
-convert at the boundary.
+`mask | classes << n`.  The public functions take and yield point tuples:
+the per-path values, here and in `real`, go through `_side_value`, which
+checks the path, packs each step's nibble in the slot of the point it
+leaves and reads the side's memo; the walk packs as it adds points.
 """
 
 from __future__ import annotations
@@ -56,11 +58,13 @@ import enum
 import itertools
 import json
 from collections.abc import Callable, Iterator, Sequence
+from functools import lru_cache
 
 from .lattice import (
     LatticePoint,
     LatticePolygon,
     LinearOrder,
+    _coordinate,
     boundary_chains,
     cross,
     sub,
@@ -231,8 +235,8 @@ class _Memo(dict):
 
 class _Context:
     """Per-(polygon, order) cache: the lattice points in order with their
-    coordinates by index, each side's boundary chain and corners, and one
-    recursion memo per (step rule, side)."""
+    coordinates by index, each side's corners, which hold its boundary
+    chain, and one recursion memo per (step rule, side)."""
 
     def __init__(self, P: LatticePolygon, order: LinearOrder):
         # raises NonInjectiveOrder first; both chains run from p to q
@@ -243,10 +247,9 @@ class _Context:
         self.X = [x for x, _ in self.points]
         self.Y = [y for _, y in self.points]
         self.bit = {pt: 1 << i for i, pt in enumerate(self.points)}
-        self.alpha = {side: sum(map(self.bit.__getitem__, chain))
-                      for side, chain in ((Side.PLUS, plus), (Side.MINUS, minus))}
-        self.corners = {side: _Corners(self.alpha[side], self.X, self.Y, self.bit, want)
-                        for side, want in _TURN.items()}
+        self.corners = {side: _Corners(sum(map(self.bit.__getitem__, chain)), self.X, self.Y,
+                                       self.bit, _TURN[side])
+                        for side, chain in ((Side.PLUS, plus), (Side.MINUS, minus))}
         self._memos: dict[tuple, _Memo] = {}
 
     def memo(self, rule: Callable, side: Side) -> _Memo:
@@ -255,11 +258,6 @@ class _Context:
         if memo is None:
             memo = self._memos[rule, side] = _Memo(rule, self.corners[side], self.n)
         return memo
-
-    def side_value(self, rule: Callable, m: int, packed: int, side: Side) -> int:
-        """One-sided multiplicity of the path mask `m` with the step sign
-        classes `packed` under a triangle step rule (see `_Memo`)."""
-        return self.memo(rule, side)[m | packed << self.n]
 
     def walk(self, rule: Callable, n: int, step_class: Callable | None = None,
              lazy: bool = True) -> Iterator[tuple[int, int, int]]:
@@ -283,7 +281,7 @@ class _Context:
         every path.
         """
         q, N, X, Y = self.n - 1, self.n, self.X, self.Y
-        alpha_p, alpha_m = self.alpha[Side.PLUS], self.alpha[Side.MINUS]
+        alpha_p, alpha_m = self.corners[Side.PLUS].alpha, self.corners[Side.MINUS].alpha
         memo_p, memo_m = self.memo(rule, Side.PLUS), self.memo(rule, Side.MINUS)
         # (last point, steps, mask, classes, then f and product for plus and minus)
         stack = [(0, 0, 1, 0, 0, 1, 0, 1)]
@@ -333,25 +331,20 @@ def _mu_step(p: LatticePoint, u: LatticePoint, v: LatticePoint, na: int, nb: int
 
 # Contexts kept, least recently used evicted first.  `table` alternates the
 # default order with one resampled order per genus, so two already keep the
-# default-order memos warm across genera.
+# default-order memos warm across genera.  Polygons and orders are records,
+# equal and hashed by their fields, so an equal pair built anew finds its
+# context.
 _CONTEXTS_KEPT = 2
-_contexts: dict[tuple, _Context] = {}
-
-
-def _context(P: LatticePolygon, order: LinearOrder) -> _Context:
-    key = (P.vertices, order.primary, order.tiebreak)
-    ctx = _contexts.pop(key, None)
-    if ctx is None:
-        ctx = _Context(P, order)
-        if len(_contexts) >= _CONTEXTS_KEPT:
-            del _contexts[next(iter(_contexts))]
-    _contexts[key] = ctx
-    return ctx
+_context = lru_cache(maxsize=_CONTEXTS_KEPT)(_Context)
 
 
 def _check_path(ctx: _Context, path: Sequence[LatticePoint]) -> int:
-    """The mask of a path, after checking that it is one."""
+    """The mask of a path, after checking that it is one.  A float or bool
+    coordinate is refused with TypeError, as `lattice._coordinate` does."""
     pts = tuple(map(tuple, path))
+    if {*map(type, itertools.chain.from_iterable(pts))} - {int}:
+        for value in itertools.chain.from_iterable(pts):
+            _coordinate(value)
     if len(pts) < 2:
         raise ValueError("a path needs at least one step")
     if pts[0] != ctx.p or pts[-1] != ctx.q:
@@ -363,6 +356,19 @@ def _check_path(ctx: _Context, path: Sequence[LatticePoint]) -> int:
     if not all(map(int.__lt__, bits, bits[1:])):
         raise ValueError("path is not strictly increasing under the order")
     return sum(bits)
+
+
+def _side_value(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint],
+                rule: Callable, side: Side, nibbles: Sequence[int] = ()) -> int:
+    """One-sided value of a path under a triangle step rule: the side's
+    memo read at the path's mask, with the class nibble of each step, for
+    the signed rule, packed in the slot of the point the step leaves."""
+    ctx = _context(P, order)
+    m = _check_path(ctx, path)
+    if nibbles:
+        slots = (i for i in range(ctx.n) if m >> i & 1)
+        m |= sum(nibble << 4 * i for nibble, i in zip(nibbles, slots)) << ctx.n
+    return ctx.memo(rule, side)[m]
 
 
 def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[LatticePath]:
@@ -378,16 +384,13 @@ def enumerate_paths(P: LatticePolygon, order: LinearOrder, n: int) -> Iterator[L
 
 def mu_side(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint], side: Side) -> int:
     """One-sided multiplicity of a path."""
-    ctx = _context(P, order)
-    return ctx.side_value(_mu_step, _check_path(ctx, path), 0, side)
+    return _side_value(P, order, path, _mu_step, side)
 
 
 def mu(P: LatticePolygon, order: LinearOrder, path: Sequence[LatticePoint]) -> int:
     """Multiplicity of a path: the product of its two one-sided multiplicities."""
-    ctx = _context(P, order)
-    m = _check_path(ctx, path)
-    plus = ctx.side_value(_mu_step, m, 0, Side.PLUS)
-    return plus and plus * ctx.side_value(_mu_step, m, 0, Side.MINUS)
+    plus = _side_value(P, order, path, _mu_step, Side.PLUS)
+    return plus and plus * _side_value(P, order, path, _mu_step, Side.MINUS)
 
 
 def _steps_for_genus(P: LatticePolygon, g: int) -> int:

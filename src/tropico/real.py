@@ -17,10 +17,11 @@ Inside, a sign class is a nibble, a 4-bit mask with bit 2 * r[0] + r[1] set
 for each of its two quadrant signs r, and a vector's parity or primitive
 parity is the same kind of index.  `_merge` is the one definition of how
 two classes meet at a trivalent vertex; the signed rule and the oracle both
-call it.  The recursion packs a path's classes into one int, each step's
-nibble in the slot of the point it leaves (see `paths`), so the signed memo
-key is the int `mask | packed << N`; the signed rule is one `_merge` of the
-two corner nibbles, and the recursion puts the result in its slot.
+call it.  `paths` packs a path's classes into one int, each step's nibble
+in the slot of the point it leaves (the walk as it goes, `_side_value` for
+the nibbles of one `SignedPath`), so the signed memo key is the int
+`mask | packed << N`; the signed rule is one `_merge` of the two corner
+nibbles, and the recursion puts the result in its slot.
 `real_signed_count` sums over the same walk as the other counts, which
 drops every prefix whose signed product is 0.  Frozenset classes appear
 only at the public boundary: `sign_class_of`, `SignedPath`, the one fit
@@ -35,7 +36,7 @@ from functools import lru_cache
 from math import gcd
 
 from .lattice import LatticePoint, LatticePolygon, LinearOrder, _Record, cross, sub
-from .paths import LatticePath, Side, _check_path, _context, _steps_for_genus, _total
+from .paths import LatticePath, Side, _side_value, _steps_for_genus, _total
 
 # A sign class: the two quadrant signs from Z2 x Z2 that a curve edge cannot
 # tell apart.
@@ -113,18 +114,7 @@ def _fitting_nibble(step: LatticePoint, cls: SignClass) -> int | None:
     return _FITTING[_primitive_index(step)].get(cls)
 
 
-def _pack(classes, m: int) -> int:
-    """Step sign classes packed by point slot: the class of each step of
-    the path mask m at bits 4i..4i+3 of the point i the step leaves."""
-    slots = (i for i in range(m.bit_length()) if m >> i & 1)
-    return sum(_nibble(cls) << 4 * i for cls, i in zip(classes, slots))
-
-
-# `_merge` results by the one int key its five arguments pack into: 2^14
-# keys at most, a few hundred in practice.
-_merges: dict[int, tuple[tuple[int, int], ...]] = {}
-
-
+@lru_cache(maxsize=None)
 def _merge(na: int, nb: int, pa: int, pb: int, pm: int) -> tuple[tuple[int, int], ...]:
     """Merge the class nibbles of two edges meeting at a trivalent vertex.
 
@@ -138,20 +128,15 @@ def _merge(na: int, nb: int, pa: int, pb: int, pm: int) -> tuple[tuple[int, int]
     class {t, t ^ pm}, and the classes so admitted split a weight of 2
     evenly, or of 4 when both edges are even: an edge of even weight
     doubles the count of real curves whenever its class meets the other
-    one.
+    one.  Cached: 16 * 16 * 4 * 4 * 4 argument tuples at most, a few
+    hundred in practice.
     """
-    key = na | nb << 4 | pa << 8 | pb << 10 | pm << 12
-    alts = _merges.get(key)
-    if alts is None:
-        if pa and pb and pa != pb:
-            alts = ((1, na ^ nb),)
-        else:
-            common = na & nb
-            classes = sorted({_class_nibble(t, pm) for t in range(4) if common >> t & 1})
-            weight = 2 if pa or pb else 4
-            alts = tuple((weight // len(classes), c) for c in classes)
-        _merges[key] = alts
-    return alts
+    if pa and pb and pa != pb:
+        return ((1, na ^ nb),)
+    common = na & nb
+    classes = sorted({_class_nibble(t, pm) for t in range(4) if common >> t & 1})
+    weight = 2 if pa or pb else 4
+    return tuple((weight // len(classes), c) for c in classes)
 
 
 def _combine(sa: SignClass, va: LatticePoint, sb: SignClass, vb: LatticePoint,
@@ -234,18 +219,14 @@ def mu_real_side(
     P: LatticePolygon, order: LinearOrder, signed: SignedPath, side: Side
 ) -> int:
     """Signed one-sided multiplicity of a path."""
-    ctx = _context(P, order)
-    m = _check_path(ctx, signed.path)
-    return ctx.side_value(_mu_real_step, m, _pack(signed.signs, m), side)
+    return _side_value(P, order, signed.path, _mu_real_step, side, tuple(map(_nibble, signed.signs)))
 
 
 def mu_real(P: LatticePolygon, order: LinearOrder, signed: SignedPath) -> int:
     """Signed multiplicity: product of the two signed one-sided values."""
-    ctx = _context(P, order)
-    m = _check_path(ctx, signed.path)
-    packed = _pack(signed.signs, m)
-    plus = ctx.side_value(_mu_real_step, m, packed, Side.PLUS)
-    return plus and plus * ctx.side_value(_mu_real_step, m, packed, Side.MINUS)
+    nibbles = tuple(map(_nibble, signed.signs))
+    plus = _side_value(P, order, signed.path, _mu_real_step, Side.PLUS, nibbles)
+    return plus and plus * _side_value(P, order, signed.path, _mu_real_step, Side.MINUS, nibbles)
 
 
 def nu_real_side(
@@ -253,8 +234,7 @@ def nu_real_side(
 ) -> int:
     """Welschinger-weighted one-sided multiplicity of a path.  May be
     negative for general polygons."""
-    ctx = _context(P, order)
-    return ctx.side_value(_nu_step, _check_path(ctx, path), 0, side)
+    return _side_value(P, order, path, _nu_step, side)
 
 
 def real_signed_count(

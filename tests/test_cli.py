@@ -1,6 +1,7 @@
 """Command-line behavior: output shapes, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -289,6 +290,19 @@ def test_curve_svg_bounded_edges_and_weight_labels(tmp_path, capsys):
         assert (code, err) == (0, "")
         text = svg.read_text()
         assert tuple(text.count(tag) for tag in ("<line", "<circle", "<text")) == counts
+
+
+def test_curve_svg_labels_a_weighted_bounded_edge(tmp_path, capsys):
+    # the diamond's two triangles share the side (0,0)-(2,0) of lattice
+    # length 2, dual to the one bounded edge, of weight 2; every ray has
+    # weight 1, so that edge carries the one label
+    poly = ('{"terms": [{"exp": [0,0], "coeff": "0"}, {"exp": [2,0], "coeff": "0"}, '
+            '{"exp": [1,1], "coeff": "-1"}, {"exp": [1,-1], "coeff": "-1"}]}')
+    svg = tmp_path / "curve.svg"
+    code, out, err = run(["curve", "--poly", poly, "--svg", str(svg)], capsys)
+    assert (code, err) == (0, "")
+    assert [e["weight"] for e in json.loads(out)["curve"]["bounded_edges"]] == [2]
+    assert re.findall(r"<text [^>]*>([^<]*)</text>", svg.read_text()) == ["2"]
 
 
 def test_curve_svg_unwritable_leaves_stdout_empty(tmp_path, capsys):

@@ -41,7 +41,6 @@ from tropico.real import (
     SignedPath,
     _combine,
     _mu_real_step,
-    _pack,
     _nu_step,
     _step_classes,
     mu_real_side,
@@ -93,6 +92,16 @@ def test_path_validation():
         mu(P, DEFAULT, ((0, 2), (1, 2), (2, 0)))
     with pytest.raises(ValueError, match="^a path needs at least one step$"):
         mu(P, DEFAULT, ((0, 2),))
+    # a float or a bool point equals, and hashes as, the lattice point it
+    # stands for, but is refused, as a polygon vertex is
+    P = standard_triangle(3)
+    for path in (tuple((float(x), float(y)) for x, y in CAL_PATH),
+                 CAL_PATH[:3] + ((True, 2),) + CAL_PATH[4:]):
+        assert path == CAL_PATH
+        for call, side in ((mu, ()), (mu_side, (Side.PLUS,)), (nu_real_side, (Side.MINUS,)),
+                           (decode, ())):
+            with pytest.raises(TypeError, match="^lattice coordinates must be integers, got "):
+                call(P, DEFAULT, path, *side)
 
 
 def test_enumerate_paths_shape():
@@ -355,7 +364,7 @@ def test_decode_leaves_match_reference(P, genera):
                 leaves = {}
                 for side in Side:
                     leaves[side] = want[side](m)
-                    got = ctx.side_value(curves._rules[ctx], m, 0, side)
+                    got = ctx.memo(curves._rules[ctx], side)[m]
                     assert curves._Leaves.of(got) == leaves[side]
                 assert [(c.multiplicity, c.subdivision.cells) for c in decoded] == [
                     (w_plus * w_minus, cells_plus + cells_minus)
@@ -476,7 +485,7 @@ def test_context_cache_stays_bounded():
     P = standard_triangle(4)
     for _ in range(60):
         assert count(P, 0, random_order(rng)) == 675
-        assert len(paths._contexts) <= paths._CONTEXTS_KEPT
+        assert paths._context.cache_info().currsize <= paths._CONTEXTS_KEPT
     # like `table`: the default order, then a resampled one, genus by genus;
     # the default-order context and its memos stay in the cache throughout
     ctx = paths._context(P, DEFAULT)
@@ -493,10 +502,22 @@ def test_context_ends_are_the_extremal_vertices():
         for order in [DEFAULT] + [random_order(rng) for _ in range(5)]:
             ctx = paths._context(P, order)
             assert (ctx.p, ctx.q) == extremal_vertices(P, order)
-    before = dict(paths._contexts)
+    # the refused order caches nothing and evicts nothing
+    kept = paths._context.cache_info().currsize
     with pytest.raises(NonInjectiveOrder):
         count(standard_triangle(2), 0, LinearOrder((1, 0), (2, 0)))
-    assert paths._contexts == before
+    assert paths._context.cache_info().currsize == kept
+    assert paths._context(P, order) is ctx
+
+
+def test_equal_polygon_and_order_share_a_context():
+    # the cache is keyed by value: a polygon and an order built anew, equal
+    # to cached ones, find the same context and its memos
+    P, order = standard_triangle(3), LinearOrder((1, 3), (0, 1))
+    ctx = paths._context(P, order)
+    P2, order2 = LatticePolygon([(3, 0), (0, 3), (0, 0)]), LinearOrder([1, 3], [0, 1])
+    assert (P2, order2) == (P, order) and P2 is not P and order2 is not order
+    assert paths._context(P2, order2) is ctx
 
 
 def test_decoded_cells_leave_with_their_context():
@@ -554,8 +575,8 @@ def _reference_rows(P, order, n, rule, step_class=None):
         if step_class is not None:
             packed = sum(step_class(k, *sub(b, a)) << 4 * ctx.points.index(a)
                          for k, (a, b) in enumerate(zip(pts, pts[1:])))
-        rows.append((pts, ctx.side_value(rule, m, packed, Side.PLUS),
-                     ctx.side_value(rule, m, packed, Side.MINUS)))
+        rows.append((pts, ctx.memo(rule, Side.PLUS)[m | packed << ctx.n],
+                     ctx.memo(rule, Side.MINUS)[m | packed << ctx.n]))
     return rows
 
 
@@ -717,7 +738,7 @@ def test_memo_holds_single_excursions(P):
         for (_, side), memo in ctx._memos.items():
             assert memo
             for key in memo:
-                assert _excursions(key & ((1 << ctx.n) - 1), ctx.alpha[side]) <= 1
+                assert _excursions(key & ((1 << ctx.n) - 1), ctx.corners[side].alpha) <= 1
 
 
 @pytest.mark.parametrize("P", [standard_triangle(4), grid_rectangle(3, 3), CUSP])
@@ -736,14 +757,14 @@ def test_side_values_split_at_the_boundary_chain(P):
         ends = 1 | 1 << (ctx.n - 1)
         masks = [ends | inner << 1 for inner in range(1 << (ctx.n - 2))]
         for side in Side:
-            alpha = ctx.alpha[side]
+            alpha = ctx.corners[side].alpha
             found = {False: [], True: []}
             for m in masks:
                 step = ctx.corners[side].moves(m)
                 if step.__class__ is not int:
                     assert not alpha >> step[1] & 1
                 if _excursions(m, alpha) >= 2:
-                    found[ctx.side_value(paths._mu_step, m, 0, side) > 0].append(m)
+                    found[ctx.memo(paths._mu_step, side)[m] > 0].append(m)
             split += len(found[False]) + len(found[True])
             nonzero += len(found[True])
             zero = found[False][:: 1 + len(found[False]) // 5]
@@ -753,9 +774,9 @@ def test_side_values_split_at_the_boundary_chain(P):
                                 for a, b in zip(pts, pts[1:]))
                 for rule, weight in ((paths._mu_step, _area_weight),
                                      (_nu_step, _welschinger_weight)):
-                    assert ctx.side_value(rule, m, 0, side) == _reference_side(
+                    assert paths._side_value(P, order, pts, rule, side) == _reference_side(
                         P, order, pts, side, weight)
-                assert ctx.side_value(_mu_real_step, m, _pack(classes, m), side) == _reference_side(
+                assert mu_real_side(P, order, SignedPath(pts, classes), side) == _reference_side(
                     P, order, pts, side, _signed_weight, classes)
     # the cusp's paths are too short to leave alpha twice with mu > 0
     assert split and (nonzero or P is CUSP)
